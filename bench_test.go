@@ -19,6 +19,7 @@ package ksa_test
 // BenchmarkSweepParallel isolates the orchestrator itself.
 
 import (
+	"context"
 	"testing"
 
 	"ksa"
@@ -49,7 +50,7 @@ func BenchmarkTable2(b *testing.B) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunTable2(sc)
+		res, _ := ksa.RunTable2(context.Background(), sc)
 		if len(res.Envs) != 3 {
 			b.Fatal("bad result")
 		}
@@ -62,7 +63,7 @@ func BenchmarkFigure2(b *testing.B) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunFigure2(sc)
+		res, _ := ksa.RunFigure2(context.Background(), sc)
 		if len(res.Categories) != 6 {
 			b.Fatal("bad result")
 		}
@@ -75,7 +76,7 @@ func BenchmarkTable3(b *testing.B) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunTable3(sc)
+		res, _ := ksa.RunTable3(context.Background(), sc)
 		if len(res.Counts) != 7 {
 			b.Fatal("bad result")
 		}
@@ -88,7 +89,7 @@ func BenchmarkFigure3(b *testing.B) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunFigure3(sc)
+		res, _ := ksa.RunFigure3(context.Background(), sc)
 		if len(res.Rows) != 8 {
 			b.Fatal("bad result")
 		}
@@ -101,7 +102,7 @@ func BenchmarkFigure4(b *testing.B) {
 	sc := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunFigure4(sc)
+		res, _ := ksa.RunFigure4(context.Background(), sc)
 		if len(res.Rows) != 6 {
 			b.Fatal("bad result")
 		}
@@ -121,7 +122,7 @@ func BenchmarkDensitySweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunDensity(sc)
+		res, _ := ksa.RunDensity(context.Background(), sc)
 		if len(res.Rows) != 3 {
 			b.Fatal("bad result")
 		}
@@ -140,7 +141,7 @@ func BenchmarkDensitySweepExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunDensity(sc)
+		res, _ := ksa.RunDensity(context.Background(), sc)
 		if len(res.Rows) != 3 {
 			b.Fatal("bad result")
 		}
@@ -255,7 +256,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ksa.RunSweep(opts)
+		res, _ := ksa.RunSweep(context.Background(), opts)
 		if len(res.Runs) != 8 {
 			b.Fatal("bad result")
 		}

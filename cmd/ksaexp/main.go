@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ksaexp [-exp table1,table2,fig2,table3,fig3,fig4|all] [-scale default|quick]
+//	ksaexp [-exp name,...|all] [-scale default|quick]
 //	       [-seed N] [-parallel N] [-cache dir|off] [-cache-verify]
 //	       [-trace] [-fault name|list] [-remote url]
 //	ksaexp -exp sweep [-envs list] [-trials N] [-workers N] [-worker-urls list]
@@ -11,16 +11,19 @@
 //	ksaexp -exp specialize [-strict-profile] [-scale ...] [-cache dir]
 //	ksaexp -exp isolation [-scale ...] [-csv dir]
 //
+// The -exp names are the entries of the experiment table (ksaexp -h lists
+// them); "all" runs the paper's own tables and figures, in table order. An
+// unknown name is a usage error, reported before anything runs.
+//
 // Every experiment reports wall time, simulated events, and the peak heap
 // high-water observed while it ran; -exact-stats swaps the bounded-memory
 // quantile sketch for exact retained samples (the oracle backend), which is
 // visible in that peak-heap line at density scale.
 //
 // Output is the textual analog of each table/figure; EXPERIMENTS.md records
-// a reference run side by side with the paper's numbers. -trace appends the
-// blame experiment (a traced native-machine varbench run attributing every
-// over-threshold outlier to a kernel structure); it can also be selected
-// directly with -exp blame.
+// a reference run side by side with the paper's numbers. -trace is an
+// alias for adding the blame experiment (a traced native-machine varbench
+// run attributing every over-threshold outlier to a kernel structure).
 //
 // -cache points every experiment at a content-addressed result store:
 // simulation cells are consulted there before running and written through
@@ -56,7 +59,9 @@ import (
 )
 
 func main() {
-	exps := flag.String("exp", "all", "comma-separated: table1,table2,fig2,table3,fig3,fig4,lightvm,ablation,blame,interference,density,specialize,isolation or all (lightvm/ablation/blame/interference/density/specialize/isolation are extensions, not in 'all')")
+	names, paper := tableNames()
+	exps := flag.String("exp", "all", fmt.Sprintf("comma-separated experiments from %s; all = %s; sweep runs alone (a distributed sweep)",
+		strings.Join(names, ","), strings.Join(paper, ",")))
 	scaleName := flag.String("scale", "default", "experiment scale: default or quick")
 	seed := flag.Uint64("seed", 0, "override the scale's seed (unset = keep)")
 	parallel := flag.Int("parallel", 0, "worker threads for independent simulations (0 = GOMAXPROCS); results are bit-identical for any value")
@@ -84,6 +89,15 @@ func main() {
 			fmt.Printf("%s: %d injector(s)\n", name, len(p.Injectors))
 		}
 		return
+	}
+	if _, ok := ksa.FaultPreset(*faultName); !ok {
+		fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", *faultName)
+		os.Exit(2)
+	}
+	selected, sweep, err := selectExperiments(*exps, *traceOn)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
+		os.Exit(2)
 	}
 
 	var sc ksa.Scale
@@ -141,22 +155,14 @@ func main() {
 		sc.RequestsPerTenant = *requests
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if *traceOn {
-		want["blame"] = true
-	}
-	all := want["all"]
-
-	if *remote != "" {
-		runRemote(*remote, want, all, *scaleName, *seed, *faultName, *csvDir, *cacheDir, *cacheVerify)
-		return
-	}
-	if want["sweep"] {
-		if len(want) > 1 {
-			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep runs alone (it has its own grid flags)")
+	if sweep {
+		if *remote != "" {
+			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep does not take -remote (point -worker-urls at the daemons instead)")
+			os.Exit(2)
+		}
+		specs, err := splitEnvs(*envs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ksaexp:", err)
 			os.Exit(2)
 		}
 		fname := *faultName
@@ -164,148 +170,117 @@ func main() {
 			fname = "" // distributed sweeps default to clean runs
 		}
 		if *serial {
-			runSerialSweep(*scaleName, *seed, *envs, *trials, fname, *cacheDir, cache)
+			runSerialSweep(*scaleName, *seed, specs, *trials, fname, cache)
 			return
 		}
 		runDistributedSweep(*scaleName, *seed, *envs, *trials, fname,
 			*workerURLs, *workers, *workerBin, *cacheDir)
 		return
 	}
-	ran := 0
-	run := func(name string, fn func()) {
-		if !all && !want[name] {
-			return
-		}
-		ran++
+	if *remote != "" {
+		runRemote(*remote, selected, *scaleName, *seed, *faultName, *csvDir, *cacheDir, *cacheVerify)
+		return
+	}
+
+	for _, exp := range selected {
 		t0 := time.Now()
 		ev0 := ksa.EventsExecuted()
 		var c0 ksa.CacheStats
 		if cache != nil {
 			c0 = cache.Stats()
 		}
-		peak := peakHeap(fn)
+		var out ksa.ExperimentOutput
+		var err error
+		peak := peakHeap(func() { out, err = exp.Run(context.Background(), sc, *faultName) })
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ksaexp: %s: %v\n", exp.Name, err)
+			os.Exit(1)
+		}
+		fmt.Println(out.Text)
+		if *csvDir != "" && out.CSV != "" {
+			writeCSV(*csvDir, exp.Name, out.CSV)
+		}
+		if res, ok := out.Result.(ksa.SpecializeResult); ok && *strictProfile && res.MeasuredFaults > 0 {
+			fmt.Fprintf(os.Stderr, "ksaexp: -strict-profile: %d in-profile call(s) faulted on the specialized kernel\n",
+				res.MeasuredFaults)
+			os.Exit(1)
+		}
 		wall := time.Since(t0)
 		ev := ksa.EventsExecuted() - ev0
 		if ev > 0 && wall > 0 {
 			fmt.Printf("[%s finished in %v — %.2fM events, %.2fM events/sec, peak heap %.1f MiB]\n",
-				name, wall.Round(time.Millisecond),
+				exp.Name, wall.Round(time.Millisecond),
 				float64(ev)/1e6, float64(ev)/wall.Seconds()/1e6, float64(peak)/(1<<20))
 		} else {
 			fmt.Printf("[%s finished in %v — peak heap %.1f MiB]\n",
-				name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
+				exp.Name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
 		}
 		if cache != nil {
 			if d := cache.Stats().Sub(c0); d.Lookups() > 0 {
-				fmt.Printf("[%s cache: %s]\n", name, d)
+				fmt.Printf("[%s cache: %s]\n", exp.Name, d)
 			}
 		}
 		fmt.Println()
 	}
+}
 
-	run("table1", func() { fmt.Println(ksa.VMConfigTable().String()) })
-	run("table2", func() { fmt.Println(ksa.RunTable2(sc).Render()) })
-	writeCSV := func(name string, emit func(*os.File) error) {
-		if *csvDir == "" {
-			return
+// tableNames lists the experiment table's names, and those "-exp all"
+// runs.
+func tableNames() (names, paper []string) {
+	for _, e := range ksa.Experiments {
+		names = append(names, e.Name)
+		if e.InAll {
+			paper = append(paper, e.Name)
 		}
-		path := *csvDir + "/" + name + ".csv"
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ksaexp:", err)
-			return
-		}
-		defer f.Close()
-		if err := emit(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ksaexp:", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "ksaexp: wrote %s\n", path)
 	}
-	run("fig2", func() {
-		res := ksa.RunFigure2(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig2", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	run("table3", func() { fmt.Println(ksa.RunTable3(sc).Render()) })
-	run("fig3", func() {
-		res := ksa.RunFigure3(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig3", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	run("fig4", func() {
-		res := ksa.RunFigure4(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig4", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	// Extensions beyond the paper (opt-in; not part of "all").
-	if want["lightvm"] {
-		run("lightvm", func() { fmt.Println(ksa.RunLightVMExtension(sc).Render()) })
-	}
-	if want["ablation"] {
-		run("ablation", func() { fmt.Println(ksa.RunAblation(sc).Render()) })
-	}
-	if want["blame"] {
-		run("blame", func() {
-			res := ksa.RunBlame(sc, ksa.KindNative, 0, 0)
-			fmt.Println(res.Render())
-			writeCSV("blame", func(f *os.File) error { return res.WriteCSV(f) })
-		})
-	}
-	if want["density"] {
-		run("density", func() {
-			res := ksa.RunDensity(sc)
-			fmt.Println(res.Render())
-			writeCSV("density", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
-	if want["specialize"] {
-		run("specialize", func() {
-			res := ksa.RunSpecialize(sc)
-			fmt.Println(res.Render())
-			writeCSV("specialize", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-			if *strictProfile && res.MeasuredFaults > 0 {
-				fmt.Fprintf(os.Stderr, "ksaexp: -strict-profile: %d in-profile call(s) faulted on the specialized kernel\n",
-					res.MeasuredFaults)
-				os.Exit(1)
-			}
-		})
-	}
-	if want["isolation"] {
-		run("isolation", func() {
-			res := ksa.RunIsolation(sc)
-			fmt.Println(res.Render())
-			writeCSV("isolation", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
-	if want["interference"] {
-		run("interference", func() {
-			plan, ok := ksa.FaultPreset(*faultName)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", *faultName)
-				os.Exit(2)
-			}
-			res := ksa.RunInterference(sc, plan)
-			fmt.Println(res.Render())
-			writeCSV("interference", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
+	return names, paper
+}
 
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "ksaexp: nothing selected by -exp %q\n", *exps)
-		os.Exit(2)
+// selectExperiments resolves the -exp list (plus -trace, an alias for
+// blame) to table entries in table order. "all" selects the paper's own
+// experiments; "sweep" selects the distributed-sweep mode, which runs
+// alone. An unknown name is an error, so nothing runs on a typo.
+func selectExperiments(list string, trace bool) ([]ksa.Experiment, bool, error) {
+	want := map[string]bool{"blame": trace}
+	sweep := false
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		switch name {
+		case "sweep":
+			sweep = true
+		case "all":
+			for _, e := range ksa.Experiments {
+				want[e.Name] = want[e.Name] || e.InAll
+			}
+		default:
+			if _, err := ksa.LookupExperiment(name); err != nil {
+				names, _ := tableNames()
+				return nil, false, fmt.Errorf("unknown -exp %q (want all, sweep, or any of %s)",
+					name, strings.Join(names, ", "))
+			}
+			want[name] = true
+		}
 	}
+	var out []ksa.Experiment
+	for _, e := range ksa.Experiments {
+		if want[e.Name] {
+			out = append(out, e)
+		}
+	}
+	if sweep && len(out) > 0 {
+		return nil, false, fmt.Errorf("-exp sweep runs alone (it has its own grid flags)")
+	}
+	return out, sweep, nil
+}
+
+// writeCSV writes one experiment's CSV rows to dir/name.csv.
+func writeCSV(dir, name, rows string) {
+	path := dir + "/" + name + ".csv"
+	if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ksaexp: wrote %s\n", path)
 }
 
 // peakHeap runs fn while sampling the runtime heap in the background and
@@ -358,44 +333,23 @@ func flagWasSet(name string) bool {
 // runRemote submits the selected experiments as jobs to a ksad daemon,
 // follows each job's event stream, and prints the rendered output — which
 // is byte-identical to what the same flags would produce locally.
-func runRemote(base string, want map[string]bool, all bool, scaleName string,
+func runRemote(base string, selected []ksa.Experiment, scaleName string,
 	seed uint64, faultName, csvDir, cacheDir string, cacheVerify bool) {
 	if csvDir != "" || cacheDir != "" || cacheVerify {
 		fmt.Fprintln(os.Stderr, "ksaexp: -csv/-cache/-cache-verify are local-only; the daemon owns its cache (start ksad with -cache)")
 		os.Exit(2)
 	}
-	if want["blame"] {
-		fmt.Fprintln(os.Stderr, "ksaexp: blame is local-only (live tracers do not serialize); run it without -remote")
-		os.Exit(2)
-	}
-	// "all" matches the local meaning: the paper set, extensions opt-in.
-	paper := map[string]bool{"table1": true, "table2": true, "fig2": true,
-		"table3": true, "fig3": true, "fig4": true}
-	var names []string
-	for _, name := range ksa.ExperimentNames() {
-		if want[name] || (all && paper[name]) {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "ksaexp: nothing selected to run remotely")
-		os.Exit(2)
-	}
-
 	ctx := context.Background()
 	cl := &ksa.DaemonClient{Base: base}
-	for _, name := range names {
-		spec := ksa.JobSpec{Type: "experiment", Exp: name, Scale: scaleName, Seed: seed}
-		if name == "interference" {
-			spec.Fault = faultName
-		}
+	for _, exp := range selected {
+		spec := ksa.JobSpec{Type: "experiment", Exp: exp.Name, Scale: scaleName, Seed: seed, Fault: faultName}
 		t0 := time.Now()
 		info, err := cl.Submit(ctx, spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "ksaexp: %s submitted as %s\n", name, info.ID)
+		fmt.Fprintf(os.Stderr, "ksaexp: %s submitted as %s\n", exp.Name, info.ID)
 		info, err = cl.Wait(ctx, info.ID, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
@@ -406,6 +360,6 @@ func runRemote(base string, want map[string]bool, all bool, scaleName string,
 			os.Exit(1)
 		}
 		fmt.Println(info.Result.Rendered)
-		fmt.Printf("[%s finished in %v via %s]\n\n", name, time.Since(t0).Round(time.Millisecond), base)
+		fmt.Printf("[%s finished in %v via %s]\n\n", exp.Name, time.Since(t0).Round(time.Millisecond), base)
 	}
 }

@@ -24,13 +24,8 @@ import (
 // every distributed run must reproduce. With -cache it reads and writes
 // the same store the worker fleet shares, so it doubles as the
 // resume-after-chaos checker (a complete cache makes it all hits).
-func runSerialSweep(scaleName string, seed uint64, envs string, trials int,
-	faultName, cacheDir string, cache *ksa.ResultCache) {
-	specs, err := splitEnvs(envs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ksaexp:", err)
-		os.Exit(2)
-	}
+func runSerialSweep(scaleName string, seed uint64, specs []ksa.EnvSpec, trials int,
+	faultName string, cache *ksa.ResultCache) {
 	var sc ksa.Scale
 	if scaleName == "quick" {
 		sc = ksa.QuickScale()
@@ -44,25 +39,27 @@ func runSerialSweep(scaleName string, seed uint64, envs string, trials int,
 	sc.Cache = cache
 	o := ksa.SweepOptions{Scale: sc, Envs: specs, Trials: trials}
 	if faultName != "" {
-		plan, ok := ksa.FaultPreset(faultName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", faultName)
-			os.Exit(2)
-		}
+		plan, _ := ksa.FaultPreset(faultName) // main checked the name
 		o.Faults = &plan
 	}
 	t0 := time.Now()
-	res := ksa.RunSweep(o)
+	// Runners fail only when their context is cancelled; this one never is.
+	res, _ := ksa.RunSweep(context.Background(), o)
 	fmt.Println(res.Render())
 	fmt.Printf("digest: %s\n", res.Digest())
 	fmt.Printf("[sweep finished in %v — serial, %d cache hit(s)]\n",
 		time.Since(t0).Round(time.Millisecond), res.Par.CacheHits)
 }
 
+// splitEnvs parses the -envs list, rejecting any environment that does not
+// fit the paper machine every sweep cell runs on.
 func splitEnvs(envs string) ([]ksa.EnvSpec, error) {
 	var out []ksa.EnvSpec
 	for _, s := range strings.Split(envs, ",") {
 		e, err := ksa.ParseEnvSpec(strings.TrimSpace(s))
+		if err == nil {
+			err = e.Check(ksa.PaperMachine)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,18 +67,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q\n", *envKind)
 		os.Exit(2)
 	}
-	if kind != ksa.KindNative && (*units <= 0 || ksa.PaperMachine.Cores%*units != 0) {
-		fmt.Fprintf(os.Stderr, "ksatrace: -units %d must evenly partition the %d-core machine\n",
-			*units, ksa.PaperMachine.Cores)
+	env := ksa.EnvSpec{Kind: kind, Units: *units}
+	if err := env.Check(ksa.PaperMachine); err != nil {
+		fmt.Fprintln(os.Stderr, "ksatrace:", err)
 		os.Exit(2)
 	}
 
-	res := ksa.RunBlame(sc, kind, *units, ksa.Time(threshold.Nanoseconds()))
+	// Runners fail only when their context is cancelled; this one never is.
+	res, _ := ksa.RunBlame(context.Background(), sc, env, ksa.Time(threshold.Nanoseconds()))
 	if *csv {
-		if err := res.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ksatrace:", err)
-			os.Exit(1)
-		}
+		fmt.Print(res.CSV())
 		return
 	}
 	fmt.Printf("Blame report: %s\n\n", res.Env)

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -85,6 +86,29 @@ func main() {
 		itersOpt = ksa.ExplicitZero
 	}
 
+	m := ksa.Machine{Cores: *cores, MemGB: *mem}
+	var kind ksa.EnvKind
+	switch *envKind {
+	case "native":
+		kind = ksa.KindNative
+	case "kvm":
+		kind = ksa.KindVMs
+	case "docker":
+		kind = ksa.KindContainers
+	default:
+		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q\n", *envKind)
+		os.Exit(2)
+	}
+
+	spec := ksa.EnvSpec{Kind: kind}
+	if kind != ksa.KindNative {
+		spec.Units = *units
+	}
+	if err := spec.Check(m); err != nil {
+		fmt.Fprintln(os.Stderr, "varbench:", err)
+		os.Exit(2)
+	}
+
 	var c *ksa.Corpus
 	if *corpusPath != "" {
 		f, err := os.Open(*corpusPath)
@@ -102,20 +126,6 @@ func main() {
 		c, _ = ksa.GenerateCorpus(ksa.CorpusOptions{Seed: *seed, TargetPrograms: 80})
 	}
 
-	m := ksa.Machine{Cores: *cores, MemGB: *mem}
-	var kind ksa.EnvKind
-	switch *envKind {
-	case "native":
-		kind = ksa.KindNative
-	case "kvm":
-		kind = ksa.KindVMs
-	case "docker":
-		kind = ksa.KindContainers
-	default:
-		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q\n", *envKind)
-		os.Exit(2)
-	}
-
 	var cache *ksa.ResultCache
 	if *cacheDir != "" && *cacheDir != "off" {
 		var err error
@@ -131,7 +141,7 @@ func main() {
 	}
 
 	if *trials > 1 {
-		runSweep(kind, m, c, itersOpt, *warmup, *seed, *trials, *parallel, *traceOn, faults,
+		runSweep(spec, m, c, itersOpt, *warmup, *seed, *trials, *parallel, *traceOn, faults,
 			cache, *cacheVerify)
 		return
 	}
@@ -160,10 +170,6 @@ func main() {
 		}
 		res = ksa.RunVarbench(env, c, opts)
 	} else {
-		spec := ksa.EnvSpec{Kind: kind}
-		if kind != ksa.KindNative {
-			spec.Units = *units
-		}
 		res = ksa.RunVarbenchCached(cache, *cacheVerify, spec, m, c, opts)
 	}
 	fmt.Printf("%s: %d call sites, %d cores, %d iterations\n",
@@ -209,7 +215,7 @@ func printBreakdowns(res *ksa.VarbenchResult) {
 	}
 }
 
-func runSweep(kind ksa.EnvKind, m ksa.Machine, c *ksa.Corpus,
+func runSweep(env ksa.EnvSpec, m ksa.Machine, c *ksa.Corpus,
 	iters, warmup int, seed uint64, trials, parallel int, traceOn bool, faults *ksa.FaultPlan,
 	cache *ksa.ResultCache, cacheVerify bool) {
 	sc := ksa.QuickScale()
@@ -219,11 +225,8 @@ func runSweep(kind ksa.EnvKind, m ksa.Machine, c *ksa.Corpus,
 	sc.Parallel = parallel
 	sc.Cache = cache
 	sc.CacheVerify = cacheVerify
-	env := ksa.EnvSpec{Kind: kind}
-	if kind != ksa.KindNative {
-		env.Units = flag.Lookup("units").Value.(flag.Getter).Get().(int)
-	}
-	res := ksa.RunSweep(ksa.SweepOptions{
+	// Runners fail only when their context is cancelled; this one never is.
+	res, _ := ksa.RunSweep(context.Background(), ksa.SweepOptions{
 		Scale: sc, Machine: m, Envs: []ksa.EnvSpec{env},
 		Trials: trials, Trace: traceOn, Corpus: c, Faults: faults,
 	})

@@ -8,54 +8,33 @@ import (
 	"ksa"
 )
 
-// The experiment registry has four user-facing mirrors that cannot be
-// checked by the compiler: the ksaexp -exp usage string, the daemon's
-// JobSpec validator, the JobSpec doc comment, and the README's experiment
-// listings. This guard fails when a new experiment lands in
-// core.ExperimentNames without the mirrors — the drift that silently makes
-// an experiment unreachable from one surface.
+// ksaexp, the daemon's validator, and the facade all read the experiment
+// table (ksa.Experiments), and internal/core's digest test pins each
+// entry's output. What the compiler cannot check is the prose: every
+// experiment must be documented in the README, and the daemon must accept
+// every entry and nothing else.
 func TestExperimentSurfacesStayInSync(t *testing.T) {
-	names := ksa.ExperimentNames()
-	if len(names) == 0 {
+	if len(ksa.Experiments) == 0 {
 		t.Fatal("no experiments registered")
 	}
-
 	// Root-package tests run with the repo root as cwd.
-	mainSrc, err := os.ReadFile("cmd/ksaexp/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobSrc, err := os.ReadFile("internal/daemon/job.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, name := range names {
-		// Every registered experiment is offered by the CLI's -exp flag.
-		if !strings.Contains(string(mainSrc), name) {
-			t.Errorf("experiment %q missing from cmd/ksaexp/main.go (add it to the -exp usage and dispatch)", name)
+	for _, exp := range ksa.Experiments {
+		// The experiment tour and the daemon job-type listing mention it.
+		if !strings.Contains(string(readme), exp.Name) {
+			t.Errorf("experiment %q missing from README.md", exp.Name)
 		}
-		// And documented on the wire spec.
-		if !strings.Contains(string(jobSrc), name) {
-			t.Errorf("experiment %q missing from internal/daemon/job.go's JobSpec doc", name)
-		}
-		// And mentioned in the README (the experiment tour and the daemon
-		// job-type listing).
-		if !strings.Contains(string(readme), name) {
-			t.Errorf("experiment %q missing from README.md", name)
-		}
-		// And accepted by the daemon's validator.
-		spec := ksa.JobSpec{Type: "experiment", Exp: name}
+		// And the daemon's validator accepts it.
+		spec := ksa.JobSpec{Type: "experiment", Exp: exp.Name}
 		if err := spec.Validate(); err != nil {
-			t.Errorf("daemon rejects experiment %q: %v", name, err)
+			t.Errorf("daemon rejects experiment %q: %v", exp.Name, err)
 		}
 	}
 
-	// The validator must still reject what the registry doesn't list.
+	// The validator must still reject what the table doesn't list.
 	bogus := ksa.JobSpec{Type: "experiment", Exp: "no-such-experiment"}
 	if err := bogus.Validate(); err == nil {
 		t.Error("daemon accepted an unregistered experiment")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"ksa"
@@ -21,7 +22,8 @@ func main() {
 	fmt.Println("each row is the distribution of per-call-site p99 latencies (µs)")
 	fmt.Println()
 
-	res := ksa.RunFigure2(sc)
+	// Runners fail only when their context is cancelled; this one never is.
+	res, _ := ksa.RunFigure2(context.Background(), sc)
 	fmt.Println(res.Render())
 
 	// Headline numbers: memory management's drastic uniprocessor benefit.

@@ -67,14 +67,7 @@ func ablationVariants() []ablationVariant {
 }
 
 // RunAblation executes the ablation study at the given scale.
-func RunAblation(sc Scale) AblationResult {
-	res, _ := RunAblationContext(context.Background(), sc)
-	return res
-}
-
-// RunAblationContext is RunAblation with cancellation (see
-// RunTable2Context).
-func RunAblationContext(ctx context.Context, sc Scale) (AblationResult, error) {
+func RunAblation(ctx context.Context, sc Scale) (AblationResult, error) {
 	c, _ := sc.GenerateCorpus()
 	variants := ablationVariants()
 	rows, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(variants), func(i int) AblationRow {

@@ -36,13 +36,7 @@ type Figure3Result struct {
 // RunFigure3 reproduces Figure 3: single-node 99th-percentile request
 // latency for every tailbench application, isolated and with a co-running
 // 48-core syscall corpus, on KVM and Docker.
-func RunFigure3(sc Scale) Figure3Result {
-	res, _ := RunFigure3Context(context.Background(), sc)
-	return res
-}
-
-// RunFigure3Context is RunFigure3 with cancellation (see RunTable2Context).
-func RunFigure3Context(ctx context.Context, sc Scale) (Figure3Result, error) {
+func RunFigure3(ctx context.Context, sc Scale) (Figure3Result, error) {
 	noise := sc.noiseCorpus()
 	srv := tailbench.ServerOptions{
 		Util: 0.75, Warmup: sc.ServerWarmup, Measure: sc.ServerMeasure, Seed: sc.Seed,
@@ -111,13 +105,7 @@ func Fig4Apps() []string {
 
 // RunFigure4 reproduces Figure 4: 64-node BSP runtimes for the cluster
 // applications, isolated and contended, on KVM and Docker.
-func RunFigure4(sc Scale) Figure4Result {
-	res, _ := RunFigure4Context(context.Background(), sc)
-	return res
-}
-
-// RunFigure4Context is RunFigure4 with cancellation (see RunTable2Context).
-func RunFigure4Context(ctx context.Context, sc Scale) (Figure4Result, error) {
+func RunFigure4(ctx context.Context, sc Scale) (Figure4Result, error) {
 	noise := sc.noiseCorpus()
 	noiseDigest := sc.corpusDigest(noise)
 	apps := Fig4Apps()

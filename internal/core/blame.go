@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"ksa/internal/platform"
 	"ksa/internal/report"
-	"ksa/internal/rng"
+	"ksa/internal/runner"
 	"ksa/internal/sim"
 	"ksa/internal/trace"
 	"ksa/internal/varbench"
@@ -21,28 +21,22 @@ type BlameResult struct {
 	Res *varbench.Result
 }
 
-// RunBlame deploys the corpus at this scale on the chosen environment
-// with tracing enabled. units is the VM/container count (ignored for
-// native); threshold is the outlier wall-time (0 = the tracer's 1ms
-// default).
-func RunBlame(sc Scale, kind platform.EnvKind, units int, threshold sim.Time) BlameResult {
+// RunBlame deploys the corpus at this scale on env, built on the paper
+// machine, with tracing enabled. threshold is the outlier wall-time (0 =
+// the tracer's 1ms default). The traced run is one live cell on the
+// scale's executor: tracers do not serialize, so it never touches the
+// cache.
+func RunBlame(ctx context.Context, sc Scale, env EnvSpec, threshold sim.Time) (BlameResult, error) {
 	c, _ := sc.GenerateCorpus()
-	eng := sim.NewEngine()
-	m := platform.PaperMachine
-	var env *platform.Environment
-	switch kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, m, units, rng.New(sc.Seed))
-	case platform.KindContainers:
-		env = platform.Containers(eng, m, units, rng.New(sc.Seed))
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, m, units, rng.New(sc.Seed))
-	default:
-		env = platform.Native(eng, m, rng.New(sc.Seed))
-	}
 	opts := sc.vbOptions()
 	opts.Trace = &trace.Options{Threshold: threshold}
-	return BlameResult{Env: env.Name, Res: varbench.Run(env, c, opts)}
+	runs, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, 1, func(int) *varbench.Result {
+		return varbench.Run(env.Build(sim.NewEngine(), platform.PaperMachine, sc.Seed), c, opts)
+	})
+	if err != nil {
+		return BlameResult{}, err
+	}
+	return BlameResult{Env: runs[0].Env, Res: runs[0]}, nil
 }
 
 // Render formats the blame report with the top worst-case records.
@@ -53,9 +47,11 @@ func (r BlameResult) Render() string {
 	return sb.String()
 }
 
-// WriteCSV emits one row per (outlier, blame part).
-func (r BlameResult) WriteCSV(w io.Writer) error {
-	return trace.WriteBlameCSV(w, r.Env, r.Res.BlameRecords())
+// CSV renders one row per (outlier, blame part).
+func (r BlameResult) CSV() string {
+	var sb strings.Builder
+	trace.WriteBlameCSV(&sb, r.Env, r.Res.BlameRecords()) //nolint:errcheck // strings.Builder never fails
+	return sb.String()
 }
 
 // RenderBlame formats a traced varbench result's blame report: tracer

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestBlameAttributionOnSeedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale traced run")
 	}
-	res := RunBlame(DefaultScale(), platform.KindNative, 0, 0)
+	res := must(RunBlame(context.Background(), DefaultScale(), EnvSpec{Kind: platform.KindNative}, 0))
 	r := res.Res
 	tab := syscalls.Default()
 	cats := map[varbench.Site]syscalls.Category{}
@@ -59,9 +60,8 @@ func TestBlameAttributionOnSeedCorpus(t *testing.T) {
 // RunBlame is itself deterministic: two runs at the same scale agree on
 // every blame record.
 func TestRunBlameDeterministic(t *testing.T) {
-	sc := QuickScale()
-	a := RunBlame(sc, platform.KindNative, 0, 0)
-	b := RunBlame(sc, platform.KindNative, 0, 0)
+	a := quick(t, "blame").Result.(BlameResult)
+	b := must(RunBlame(context.Background(), QuickScale(), EnvSpec{Kind: platform.KindNative}, 0))
 	ra, rb := a.Res.BlameRecords(), b.Res.BlameRecords()
 	if len(ra) == 0 || len(ra) != len(rb) {
 		t.Fatalf("record counts differ or empty: %d vs %d", len(ra), len(rb))
@@ -76,12 +76,9 @@ func TestRunBlameDeterministic(t *testing.T) {
 
 // The CSV export carries one row per (record, part) and is parseable.
 func TestBlameCSV(t *testing.T) {
-	res := RunBlame(QuickScale(), platform.KindNative, 0, 0)
-	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	out := quick(t, "blame")
+	res := out.Result.(BlameResult)
+	lines := strings.Split(strings.TrimSpace(out.CSV), "\n")
 	if len(lines) < 2 {
 		t.Fatal("CSV has no data rows")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,12 +62,12 @@ func encodeRuns(t *testing.T, r SweepResult) []byte {
 
 func TestCachedSweepBitIdentity(t *testing.T) {
 	sc := tinyScale()
-	uncached := RunSweep(sweepOpts(sc, 2))
+	uncached := must(RunSweep(context.Background(), sweepOpts(sc, 2)))
 
 	st, log := openCache(t)
 	sc.Cache = st
-	cold := RunSweep(sweepOpts(sc, 2))
-	warm := RunSweep(sweepOpts(sc, 2))
+	cold := must(RunSweep(context.Background(), sweepOpts(sc, 2)))
+	warm := must(RunSweep(context.Background(), sweepOpts(sc, 2)))
 
 	want := encodeRuns(t, uncached)
 	if !bytes.Equal(encodeRuns(t, cold), want) {
@@ -104,18 +105,18 @@ func TestSweepResumeRunsOnlyMissingCells(t *testing.T) {
 	st, _ := openCache(t)
 	sc.Cache = st
 
-	partial := RunSweep(sweepOpts(sc, 2))
+	partial := must(RunSweep(context.Background(), sweepOpts(sc, 2)))
 	if n := len(partial.Runs); n != 4 {
 		t.Fatalf("partial grid has %d cells, want 4", n)
 	}
-	full := RunSweep(sweepOpts(sc, 4))
+	full := must(RunSweep(context.Background(), sweepOpts(sc, 4)))
 	if full.Par.CacheHits != 4 || full.Par.CacheMisses != 4 {
 		t.Fatalf("resume: %d hits / %d misses, want 4 / 4",
 			full.Par.CacheHits, full.Par.CacheMisses)
 	}
 	// The resumed grid must agree cell-for-cell with an uncached run.
 	sc.Cache = nil
-	want := encodeRuns(t, RunSweep(sweepOpts(sc, 4)))
+	want := encodeRuns(t, must(RunSweep(context.Background(), sweepOpts(sc, 4))))
 	if !bytes.Equal(encodeRuns(t, full), want) {
 		t.Fatal("resumed sweep is not bit-identical to an uncached run")
 	}
@@ -128,7 +129,7 @@ func TestInterferencePlanChangeReusesBaselines(t *testing.T) {
 	planA, _ := fault.Preset("memstorm")
 	planB, _ := fault.Preset("fsflush")
 
-	first := RunInterference(sc, planA)
+	first := must(RunInterference(context.Background(), sc, planA))
 	cells := len(first.Rows)
 	if first.Par.CacheMisses != 2*cells || first.Par.CacheHits != 0 {
 		t.Fatalf("first plan: %d hits / %d misses, want 0 / %d",
@@ -136,13 +137,13 @@ func TestInterferencePlanChangeReusesBaselines(t *testing.T) {
 	}
 	// A different plan over the same grid reuses every clean baseline and
 	// simulates only the newly dosed halves.
-	second := RunInterference(sc, planB)
+	second := must(RunInterference(context.Background(), sc, planB))
 	if second.Par.CacheHits != cells || second.Par.CacheMisses != cells {
 		t.Fatalf("second plan: %d hits / %d misses, want %d / %d",
 			second.Par.CacheHits, second.Par.CacheMisses, cells, cells)
 	}
 	// Rerunning the first plan is now fully warm.
-	third := RunInterference(sc, planA)
+	third := must(RunInterference(context.Background(), sc, planA))
 	if third.Par.CacheHits != 2*cells || third.Par.CacheMisses != 0 {
 		t.Fatalf("rerun: %d hits / %d misses, want %d / 0",
 			third.Par.CacheHits, third.Par.CacheMisses, 2*cells)
@@ -248,7 +249,7 @@ func TestTracedRunsBypassCache(t *testing.T) {
 	// RunSweep with Trace set must also leave the store untouched.
 	o := sweepOpts(sc, 1)
 	o.Trace = true
-	swept := RunSweep(o)
+	swept := must(RunSweep(context.Background(), o))
 	if s := st.Stats(); s.Lookups() != 0 || s.Puts != 0 {
 		t.Fatalf("traced sweep touched the cache: %+v", s)
 	}
@@ -285,12 +286,12 @@ func TestVarbenchKeyInvalidation(t *testing.T) {
 	bigger.Cores = 16
 
 	variants := []resultcache.Key{
-		varbenchKey(spec, m, optsIters, "", "digest0", opts.Seed),           // harness length
-		varbenchKey(spec, m, opts, "", "digest0", opts.Seed+1),              // seed
-		varbenchKey(spec, m, opts, "", "digest1", opts.Seed),                // corpus
-		varbenchKey(spec, m, opts, plan.Sig(), "digest0", opts.Seed),        // fault plan
-		varbenchKey(spec, bigger, opts, "", "digest0", opts.Seed),           // machine
-		varbenchKey(EnvSpec{Kind: platform.KindVMs, Units: 4}, m, opts, "", "digest0", opts.Seed), // partitioning
+		varbenchKey(spec, m, optsIters, "", "digest0", opts.Seed),                                        // harness length
+		varbenchKey(spec, m, opts, "", "digest0", opts.Seed+1),                                           // seed
+		varbenchKey(spec, m, opts, "", "digest1", opts.Seed),                                             // corpus
+		varbenchKey(spec, m, opts, plan.Sig(), "digest0", opts.Seed),                                     // fault plan
+		varbenchKey(spec, bigger, opts, "", "digest0", opts.Seed),                                        // machine
+		varbenchKey(EnvSpec{Kind: platform.KindVMs, Units: 4}, m, opts, "", "digest0", opts.Seed),        // partitioning
 		varbenchKey(EnvSpec{Kind: platform.KindContainers, Units: 2}, m, opts, "", "digest0", opts.Seed), // substrate
 	}
 	seen := map[string]bool{base.Hash(): true}

@@ -15,7 +15,7 @@ func TestVMConfigTableContent(t *testing.T) {
 }
 
 func TestRunTable2Quick(t *testing.T) {
-	res := RunTable2(QuickScale())
+	res := quick(t, "table2").Result.(Table2Result)
 	if len(res.Envs) != 3 {
 		t.Fatalf("%d environments", len(res.Envs))
 	}
@@ -47,7 +47,7 @@ func TestRunTable2Quick(t *testing.T) {
 }
 
 func TestRunFigure2Quick(t *testing.T) {
-	res := RunFigure2(QuickScale())
+	res := quick(t, "fig2").Result.(Figure2Result)
 	if len(res.VMCounts) != 7 || res.VMCounts[0] != 1 || res.VMCounts[6] != 64 {
 		t.Fatalf("VM counts %v", res.VMCounts)
 	}
@@ -63,7 +63,7 @@ func TestRunFigure2Quick(t *testing.T) {
 }
 
 func TestRunTable3Quick(t *testing.T) {
-	res := RunTable3(QuickScale())
+	res := quick(t, "table3").Result.(Table3Result)
 	if len(res.Counts) != 7 {
 		t.Fatalf("counts %v", res.Counts)
 	}
@@ -78,7 +78,7 @@ func TestRunTable3Quick(t *testing.T) {
 }
 
 func TestRunFigure3Quick(t *testing.T) {
-	res := RunFigure3(QuickScale())
+	res := quick(t, "fig3").Result.(Figure3Result)
 	if len(res.Rows) != 8 {
 		t.Fatalf("%d rows, want 8 apps", len(res.Rows))
 	}
@@ -96,7 +96,7 @@ func TestRunFigure3Quick(t *testing.T) {
 }
 
 func TestRunFigure4Quick(t *testing.T) {
-	res := RunFigure4(QuickScale())
+	res := quick(t, "fig4").Result.(Figure4Result)
 	if len(res.Rows) != len(Fig4Apps()) {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -129,7 +129,7 @@ func TestScalesDiffer(t *testing.T) {
 }
 
 func TestRunAblationQuick(t *testing.T) {
-	res := RunAblation(QuickScale())
+	res := quick(t, "ablation").Result.(AblationResult)
 	if len(res.Rows) < 5 {
 		t.Fatalf("%d ablation variants", len(res.Rows))
 	}
@@ -150,7 +150,7 @@ func TestRunAblationQuick(t *testing.T) {
 }
 
 func TestRunLightVMExtensionQuick(t *testing.T) {
-	res := RunLightVMExtension(QuickScale())
+	res := quick(t, "lightvm").Result.(LightVMResult)
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}

@@ -51,13 +51,7 @@ func densityTenants(sc Scale) []int {
 // of ephemeral tenants cold-starting on each isolation surface, at each
 // tenant count. Cells fan out across Scale.Parallel workers with per-key
 // derived seeds, so the sweep is bit-identical at any worker count.
-func RunDensity(sc Scale) DensityResult {
-	res, _ := RunDensityContext(context.Background(), sc)
-	return res
-}
-
-// RunDensityContext is RunDensity with cancellation (see RunTable2Context).
-func RunDensityContext(ctx context.Context, sc Scale) (DensityResult, error) {
+func RunDensity(ctx context.Context, sc Scale) (DensityResult, error) {
 	tenants := densityTenants(sc)
 	surfaces := density.Surfaces
 	rows, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(surfaces)*len(tenants), func(i int) DensityRow {

@@ -178,16 +178,10 @@ type Table2Result struct {
 
 // RunTable2 reproduces Table 2: median/p99/worst-case decade breakdowns of
 // per-call-site latency on native Linux, 64 one-core KVM VMs, and 64
-// one-core Docker containers.
-func RunTable2(sc Scale) Table2Result {
-	res, _ := RunTable2Context(context.Background(), sc)
-	return res
-}
-
-// RunTable2Context is RunTable2 with cancellation: once ctx is done no new
-// cell starts, in-flight cells drain, and the partial result plus ctx's
-// error come back.
-func RunTable2Context(ctx context.Context, sc Scale) (Table2Result, error) {
+// one-core Docker containers. Once ctx is done no new cell starts,
+// in-flight cells drain, and the partial result plus ctx's error come
+// back; every experiment runner cancels this way.
+func RunTable2(ctx context.Context, sc Scale) (Table2Result, error) {
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)
 	res := Table2Result{CorpusCalls: c.NumCalls()}
@@ -244,13 +238,7 @@ type Figure2Result struct {
 // RunFigure2 reproduces Figure 2: per-category distributions of call-site
 // 99th percentiles across the Table 1 VM configurations, filtered (like the
 // paper) to call sites whose native median is at least 10µs.
-func RunFigure2(sc Scale) Figure2Result {
-	res, _ := RunFigure2Context(context.Background(), sc)
-	return res
-}
-
-// RunFigure2Context is RunFigure2 with cancellation (see RunTable2Context).
-func RunFigure2Context(ctx context.Context, sc Scale) (Figure2Result, error) {
+func RunFigure2(ctx context.Context, sc Scale) (Figure2Result, error) {
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)
 	opts := sc.vbOptions()
@@ -320,13 +308,7 @@ type Table3Result struct {
 
 // RunTable3 reproduces Table 3: worst-case latency breakdowns on Docker
 // with 1 to 64 containers.
-func RunTable3(sc Scale) Table3Result {
-	res, _ := RunTable3Context(context.Background(), sc)
-	return res
-}
-
-// RunTable3Context is RunTable3 with cancellation (see RunTable2Context).
-func RunTable3Context(ctx context.Context, sc Scale) (Table3Result, error) {
+func RunTable3(ctx context.Context, sc Scale) (Table3Result, error) {
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)
 	res := Table3Result{}

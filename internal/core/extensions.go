@@ -34,14 +34,7 @@ type LightVMResult struct {
 // VMs keep the isolation benefit (bounded contended degradation) while
 // shedding most of the virtualization tax (isolated gap to Docker)? Runs
 // the Figure 3 scenario with a third substrate.
-func RunLightVMExtension(sc Scale) LightVMResult {
-	res, _ := RunLightVMExtensionContext(context.Background(), sc)
-	return res
-}
-
-// RunLightVMExtensionContext is RunLightVMExtension with cancellation (see
-// RunTable2Context).
-func RunLightVMExtensionContext(ctx context.Context, sc Scale) (LightVMResult, error) {
+func RunLightVMExtension(ctx context.Context, sc Scale) (LightVMResult, error) {
 	noise := sc.noiseCorpus()
 	srv := tailbench.ServerOptions{
 		Util: 0.75, Warmup: sc.ServerWarmup, Measure: sc.ServerMeasure, Seed: sc.Seed,

@@ -78,17 +78,10 @@ func pooledLatencies(r *varbench.Result) *stats.Sample {
 // causally controlled: the only difference between the paired runs is the
 // injected interference. Cells fan out across Scale.Parallel workers with
 // per-key derived seeds; results are bit-identical at any worker count.
-func RunInterference(sc Scale, plan fault.Plan) InterferenceResult {
-	res, _ := RunInterferenceContext(context.Background(), sc, plan)
-	return res
-}
-
-// RunInterferenceContext is RunInterference with cancellation: once ctx is
-// done no new cell starts, in-flight cells drain (their pairs stay cached),
-// and the partial result plus ctx's error come back.
-func RunInterferenceContext(ctx context.Context, sc Scale, plan fault.Plan) (InterferenceResult, error) {
+// Cancelled cells drain with their pairs cached.
+func RunInterference(ctx context.Context, sc Scale, plan fault.Plan) (InterferenceResult, error) {
 	if err := plan.Validate(); err != nil {
-		panic(err)
+		return InterferenceResult{}, err
 	}
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func interferenceAt(t *testing.T, parallel int) InterferenceResult {
 	if !ok {
 		t.Fatal("mixed preset missing")
 	}
-	return RunInterference(sc, plan)
+	return must(RunInterference(context.Background(), sc, plan))
 }
 
 // The golden determinism contract for the interference ablation: the same

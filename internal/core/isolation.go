@@ -84,14 +84,7 @@ func isolationEnvs(prof *specialize.Profile) []EnvSpec {
 // results are bit-identical at any worker count. Cells always run live:
 // contention recording bypasses the result cache (the recorder is not
 // serializable), exactly like traced runs.
-func RunIsolation(sc Scale) IsolationResult {
-	res, _ := RunIsolationContext(context.Background(), sc)
-	return res
-}
-
-// RunIsolationContext is RunIsolation with cancellation (see
-// RunTable2Context).
-func RunIsolationContext(ctx context.Context, sc Scale) (IsolationResult, error) {
+func RunIsolation(ctx context.Context, sc Scale) (IsolationResult, error) {
 	c, _ := sc.GenerateCorpus()
 	// The profiling seed key matches PlanSweep's and RunSpecialize's, so
 	// the specialized cell deploys the same kernels those surfaces do.

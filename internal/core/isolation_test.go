@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"ksa/internal/fault"
 	"ksa/internal/platform"
 )
 
@@ -13,7 +13,7 @@ func isolationAt(t *testing.T, parallel int) IsolationResult {
 	sc.CorpusPrograms = 6
 	sc.Iterations = 2
 	sc.Parallel = parallel
-	return RunIsolation(sc)
+	return must(RunIsolation(context.Background(), sc))
 }
 
 // scoreOf finds one environment's score in the result.
@@ -50,7 +50,7 @@ func TestIsolationBitIdentity(t *testing.T) {
 // most, specialized co-located kernels keep only the physical block device
 // as a shared surface, and KVM partitions leak the least.
 func TestIsolationScoreRanksPartitions(t *testing.T) {
-	res := RunIsolation(QuickScale())
+	res := quick(t, "isolation").Result.(IsolationResult)
 	if len(res.Rows) != 11 {
 		t.Fatalf("want 11 environment rows, got %d", len(res.Rows))
 	}
@@ -101,13 +101,8 @@ func TestIsolationScoreRanksPartitions(t *testing.T) {
 // Pairs inside the noise band are deliberately not ordered — at this
 // scale amplification among the shared-kernel configurations is noise.
 func TestIsolationAgreesWithInterferenceAmp(t *testing.T) {
-	sc := QuickScale()
-	plan, ok := fault.Preset("mixed")
-	if !ok {
-		t.Fatal("mixed preset missing")
-	}
-	intf := RunInterference(sc, plan)
-	iso := RunIsolation(sc)
+	intf := quick(t, "interference").Result.(InterferenceResult) // the "mixed" plan
+	iso := quick(t, "isolation").Result.(IsolationResult)
 	amp := map[string]float64{}
 	for _, row := range intf.Rows {
 		amp[row.Env.String()] = row.AmpP99
@@ -150,7 +145,7 @@ func TestIsolationNeverTouchesCache(t *testing.T) {
 	sc.Parallel = 2
 	st, _ := openCache(t)
 	sc.Cache = st
-	res := RunIsolation(sc)
+	res := must(RunIsolation(context.Background(), sc))
 	if len(res.Rows) != 11 {
 		t.Fatalf("want 11 rows, got %d", len(res.Rows))
 	}

@@ -1,12 +1,11 @@
 // Service-facing helpers: the pieces a long-running control plane (the
 // ksad daemon) needs from the experiment layer — parsing environment specs
-// received over the wire, rendering and fingerprinting sweep results,
+// received over the wire, rendering and fingerprinting sweep results, and
 // probing whether a whole sweep is already answerable from the result
-// store, and dispatching named paper experiments under a context.
+// store.
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"strings"
 
 	"ksa/internal/corpus"
-	"ksa/internal/fault"
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/resultcache/codec"
@@ -135,74 +133,4 @@ func SweepCached(o SweepOptions) (*corpus.Corpus, bool) {
 		}
 	}
 	return p.Opts.Corpus, true
-}
-
-// ExperimentNames lists the named paper experiments RunExperimentContext
-// dispatches, in canonical order.
-func ExperimentNames() []string {
-	return []string{"table1", "table2", "fig2", "table3", "fig3", "fig4",
-		"lightvm", "ablation", "interference", "density", "specialize",
-		"isolation"}
-}
-
-// RunExperimentContext runs one named paper experiment (see
-// ExperimentNames) at the given scale and returns its rendered output.
-// faultName selects the interference preset (default "mixed"); it is
-// ignored by every other experiment. Cancellation follows the fan-out
-// contract: no new cell starts after ctx is done, in-flight cells drain.
-func RunExperimentContext(ctx context.Context, sc Scale, name, faultName string) (string, error) {
-	switch name {
-	case "table1":
-		return VMConfigTable().String(), nil
-	case "table2":
-		r, err := RunTable2Context(ctx, sc)
-		return renderOr(r.Render, err)
-	case "fig2":
-		r, err := RunFigure2Context(ctx, sc)
-		return renderOr(r.Render, err)
-	case "table3":
-		r, err := RunTable3Context(ctx, sc)
-		return renderOr(r.Render, err)
-	case "fig3":
-		r, err := RunFigure3Context(ctx, sc)
-		return renderOr(r.Render, err)
-	case "fig4":
-		r, err := RunFigure4Context(ctx, sc)
-		return renderOr(r.Render, err)
-	case "lightvm":
-		r, err := RunLightVMExtensionContext(ctx, sc)
-		return renderOr(r.Render, err)
-	case "ablation":
-		r, err := RunAblationContext(ctx, sc)
-		return renderOr(r.Render, err)
-	case "interference":
-		if faultName == "" {
-			faultName = "mixed"
-		}
-		plan, ok := fault.Preset(faultName)
-		if !ok {
-			return "", fmt.Errorf("unknown fault preset %q", faultName)
-		}
-		r, err := RunInterferenceContext(ctx, sc, plan)
-		return renderOr(r.Render, err)
-	case "density":
-		r, err := RunDensityContext(ctx, sc)
-		return renderOr(r.Render, err)
-	case "specialize":
-		r, err := RunSpecializeContext(ctx, sc)
-		return renderOr(r.Render, err)
-	case "isolation":
-		r, err := RunIsolationContext(ctx, sc)
-		return renderOr(r.Render, err)
-	default:
-		return "", fmt.Errorf("unknown experiment %q (want one of %s)",
-			name, strings.Join(ExperimentNames(), ", "))
-	}
-}
-
-func renderOr(render func() string, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return render(), nil
 }

@@ -69,14 +69,7 @@ type SpecializeResult struct {
 // generate the reduced kernel, prove the reduction sound and its faults
 // detectable, then compare 64 specialized per-tenant kernels against
 // native, 64 KVM VMs, and 64 containers on the paper machine.
-func RunSpecialize(sc Scale) SpecializeResult {
-	res, _ := RunSpecializeContext(context.Background(), sc)
-	return res
-}
-
-// RunSpecializeContext is RunSpecialize with cancellation (see
-// RunTable2Context).
-func RunSpecializeContext(ctx context.Context, sc Scale) (SpecializeResult, error) {
+func RunSpecialize(ctx context.Context, sc Scale) (SpecializeResult, error) {
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)
 	tab := syscalls.Default()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -62,8 +63,8 @@ func specializeScale(parallel int) Scale {
 // The experiment's rendered output is byte-identical at any worker count,
 // the reduction is strict, and the soundness oracle holds.
 func TestSpecializeBitIdentityAndInvariants(t *testing.T) {
-	serial := RunSpecialize(specializeScale(1))
-	par := RunSpecialize(specializeScale(4))
+	serial := must(RunSpecialize(context.Background(), specializeScale(1)))
+	par := must(RunSpecialize(context.Background(), specializeScale(4)))
 	if s, p := serial.Render(), par.Render(); s != p {
 		t.Fatalf("serial and 4-worker renders differ:\n%s\nvs\n%s", s, p)
 	}
@@ -97,12 +98,12 @@ func TestSpecializeCacheRerun(t *testing.T) {
 	}
 	sc := specializeScale(2)
 	sc.Cache = st
-	first := RunSpecialize(sc)
+	first := must(RunSpecialize(context.Background(), sc))
 	miss := st.Stats()
 	if miss.Misses != 4 || miss.Hits != 0 {
 		t.Fatalf("first run: %d misses %d hits, want 4/0", miss.Misses, miss.Hits)
 	}
-	second := RunSpecialize(sc)
+	second := must(RunSpecialize(context.Background(), sc))
 	d := st.Stats().Sub(miss)
 	if d.Misses != 0 || d.Hits != 4 {
 		t.Fatalf("rerun: %d misses %d hits, want 0/4", d.Misses, d.Hits)
@@ -148,7 +149,7 @@ func TestSweepAttachesProfile(t *testing.T) {
 		t.Fatalf("specialized cache key %q lacks the profile signature", key.Env)
 	}
 
-	res := RunSweep(o)
+	res := must(RunSweep(context.Background(), o))
 	if len(res.Runs) != 2 {
 		t.Fatalf("want 2 runs, got %d", len(res.Runs))
 	}

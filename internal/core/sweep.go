@@ -44,8 +44,30 @@ func (e EnvSpec) String() string {
 	return fmt.Sprintf("%s-%d", e.Kind, e.Units)
 }
 
+// Check reports whether the spec can be built on m: the machine needs at
+// least one core, VM-style partitions (kvm, lightvm, specialized) must
+// divide its cores evenly, and containers need at least one unit. Build
+// panics on a spec that fails this check, so every boundary that accepts
+// specs from outside (flags, HTTP bodies) checks them first.
+func (e EnvSpec) Check(m platform.Machine) error {
+	if m.Cores < 1 {
+		return fmt.Errorf("machine has %d cores, want at least 1", m.Cores)
+	}
+	switch e.Kind {
+	case platform.KindVMs, platform.KindLightVMs, platform.KindSpecialized:
+		if e.Units < 1 || m.Cores%e.Units != 0 {
+			return fmt.Errorf("%s: %d units do not evenly partition %d cores", e, e.Units, m.Cores)
+		}
+	case platform.KindContainers:
+		if e.Units < 1 {
+			return fmt.Errorf("%s: want at least 1 container", e)
+		}
+	}
+	return nil
+}
+
 // Build constructs the environment on eng, drawing all of its construction
-// randomness from seed.
+// randomness from seed. The spec must pass Check(m).
 func (e EnvSpec) Build(eng *sim.Engine, m platform.Machine, seed uint64) *platform.Environment {
 	src := rng.New(seed)
 	switch e.Kind {
@@ -295,19 +317,15 @@ func (p SweepPlan) RunCell(c SweepCell) (SweepRun, bool) {
 // simulating and writes through after, so an interrupted sweep resumes
 // executing only the missing cells and a repeated sweep is served entirely
 // from cache.
-func RunSweep(o SweepOptions) SweepResult {
-	res, _ := RunSweepContext(context.Background(), o)
-	return res
-}
-
-// RunSweepContext is RunSweep with cancellation. Once ctx is done no new
-// cell starts (queued cells are abandoned promptly), in-flight cells drain
-// to completion — and, with a cache, stay durable — and the truncated
-// result comes back with ctx's error. Cells are claimed in job-key order,
-// so the completed cells are exactly the prefix [0, Par.Completed) of the
-// grid, each bit-identical to the same cell of an uninterrupted serial
-// run; rerunning the sweep against the same cache resumes from there.
-func RunSweepContext(ctx context.Context, o SweepOptions) (SweepResult, error) {
+//
+// Once ctx is done no new cell starts (queued cells are abandoned
+// promptly), in-flight cells drain to completion — and, with a cache, stay
+// durable — and the truncated result comes back with ctx's error. Cells
+// are claimed in job-key order, so the completed cells are exactly the
+// prefix [0, Par.Completed) of the grid, each bit-identical to the same
+// cell of an uninterrupted serial run; rerunning the sweep against the
+// same cache resumes from there.
+func RunSweep(ctx context.Context, o SweepOptions) (SweepResult, error) {
 	p := PlanSweep(o)
 	before := o.Scale.cacheSnapshot()
 	jobs := make([]runner.Job[SweepRun], len(p.Cells))

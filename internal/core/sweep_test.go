@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,9 +34,9 @@ func sweepOptions(parallel int) SweepOptions {
 // Float64bits, so even NaN payloads or -0.0 would be caught), every decade
 // breakdown, and every blame total.
 func TestSweepBitIdentity(t *testing.T) {
-	serial := RunSweep(sweepOptions(1))
+	serial := must(RunSweep(context.Background(), sweepOptions(1)))
 	for _, workers := range []int{2, 8} {
-		par := RunSweep(sweepOptions(workers))
+		par := must(RunSweep(context.Background(), sweepOptions(workers)))
 		if len(par.Runs) != len(serial.Runs) {
 			t.Fatalf("workers=%d: %d runs, serial had %d", workers, len(par.Runs), len(serial.Runs))
 		}
@@ -106,7 +107,7 @@ func compareRuns(t *testing.T, workers int, a, b SweepRun) {
 
 // The sweep must also report sane fan-out metrics.
 func TestSweepMetrics(t *testing.T) {
-	res := RunSweep(sweepOptions(2))
+	res := must(RunSweep(context.Background(), sweepOptions(2)))
 	if res.Par.Jobs != 10 {
 		t.Fatalf("Jobs = %d, want 10", res.Par.Jobs)
 	}

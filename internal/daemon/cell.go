@@ -15,6 +15,7 @@ import (
 	"ksa/internal/core"
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
+	"ksa/internal/platform"
 	"ksa/internal/resultcache"
 	"ksa/internal/resultcache/codec"
 )
@@ -40,8 +41,8 @@ type CellSpec struct {
 	// Priority orders the cell against other work on this worker's pool.
 	Priority int `json:"priority,omitempty"`
 	// Owner identifies the claimant for the lease protocol (typically the
-	// coordinator's name plus the target worker URL). Empty with LeaseMS
-	// zero skips leasing entirely.
+	// coordinator's name plus the target worker URL); it may not hold
+	// control characters. Empty with LeaseMS zero skips leasing entirely.
 	Owner string `json:"owner,omitempty"`
 	// LeaseMS is the claim TTL in milliseconds. Zero runs the cell
 	// without a lease (single-coordinator mode); positive makes the
@@ -59,7 +60,11 @@ func (s *CellSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown scale %q (want default or quick)", s.Scale)
 	}
-	if _, err := core.ParseEnvSpec(s.Env); err != nil {
+	env, err := core.ParseEnvSpec(s.Env)
+	if err != nil {
+		return err
+	}
+	if err := env.Check(platform.PaperMachine); err != nil {
 		return err
 	}
 	if s.Trial < 0 {
@@ -73,7 +78,7 @@ func (s *CellSpec) Validate() error {
 	if s.LeaseMS < 0 {
 		return fmt.Errorf("negative lease_ms %d", s.LeaseMS)
 	}
-	return nil
+	return resultcache.CheckOwner(s.Owner)
 }
 
 // CellResult is the wire form of a completed cell.

@@ -351,7 +351,7 @@ func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
 		}
 	}
 
-	res, err := core.RunSweepContext(ctx, o)
+	res, err := core.RunSweep(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +370,7 @@ func (d *Daemon) runInterference(ctx context.Context, j *job) (*Result, error) {
 		name = "mixed"
 	}
 	plan, _ := fault.Preset(name)
-	res, err := core.RunInterferenceContext(ctx, d.scale(j.spec), plan)
+	res, err := core.RunInterference(ctx, d.scale(j.spec), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -382,11 +382,12 @@ func (d *Daemon) runInterference(ctx context.Context, j *job) (*Result, error) {
 }
 
 func (d *Daemon) runExperiment(ctx context.Context, j *job) (*Result, error) {
-	rendered, err := core.RunExperimentContext(ctx, d.scale(j.spec), j.spec.Exp, j.spec.Fault)
+	exp, _ := core.LookupExperiment(j.spec.Exp) // Validate passed
+	out, err := exp.Run(ctx, d.scale(j.spec), j.spec.Fault)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rendered: rendered}, nil
+	return &Result{Rendered: out.Text}, nil
 }
 
 // SortedEventTypes exists for documentation and tests: the closed set of

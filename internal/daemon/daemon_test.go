@@ -60,7 +60,10 @@ func serialDigest(t *testing.T, spec daemon.JobSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.RunSweep(core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	res, err := core.RunSweep(context.Background(), core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return res.Digest()
 }
 
@@ -279,19 +282,31 @@ func TestDaemonCancelMidSweepLeavesResumablePrefix(t *testing.T) {
 	}
 }
 
+// Experiment jobs, blame's traced run included, render byte-identically
+// to the same table entry run in-process.
 func TestDaemonExperimentJob(t *testing.T) {
 	_, cl := newTestServer(t, 2, false)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	info, err := cl.Submit(ctx, daemon.JobSpec{Type: daemon.TypeExperiment, Exp: "table1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info, err = cl.Wait(ctx, info.ID, nil); err != nil || info.State != daemon.StateDone {
-		t.Fatalf("%v, state %s (%s)", err, info.State, info.Error)
-	}
-	if !strings.Contains(info.Result.Rendered, "Table 1") {
-		t.Fatalf("rendered output looks wrong:\n%s", info.Result.Rendered)
+	for _, name := range []string{"table1", "blame"} {
+		info, err := cl.Submit(ctx, daemon.JobSpec{Type: daemon.TypeExperiment, Exp: name, Scale: "quick"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err = cl.Wait(ctx, info.ID, nil); err != nil || info.State != daemon.StateDone {
+			t.Fatalf("%s: %v, state %s (%s)", name, err, info.State, info.Error)
+		}
+		exp, err := core.LookupExperiment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := exp.Run(ctx, core.QuickScale(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Result.Rendered != local.Text {
+			t.Fatalf("%s: daemon output differs from the local run:\n%s\nvs\n%s", name, info.Result.Rendered, local.Text)
+		}
 	}
 }
 
@@ -349,6 +364,7 @@ func TestRouterErrors(t *testing.T) {
 	check(post(`{"type":"nonsense"}`), http.StatusBadRequest)
 	check(post(`{"type":"sweep"}`), http.StatusBadRequest)                                  // no envs
 	check(post(`{"type":"sweep","envs":["kvm-0"]}`), http.StatusBadRequest)                 // bad units
+	check(post(`{"type":"sweep","scale":"quick","envs":["kvm-7"]}`), http.StatusBadRequest) // does not fit
 	check(post(`{"type":"sweep","envs":["native","native"]}`), http.StatusBadRequest)       // duplicate
 	check(post(`{"type":"experiment","exp":"nope"}`), http.StatusBadRequest)                // unknown exp
 	check(post(`{"type":"sweep","envs":["native"],"fault":"nope"}`), http.StatusBadRequest) // unknown fault
@@ -389,6 +405,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Type: "interference"},
 		{Type: "interference", Fault: "memstorm"},
 		{Type: "experiment", Exp: "fig3", Scale: "quick", Seed: 42, Priority: 5},
+		{Type: "experiment", Exp: "blame"},
 	}
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
@@ -404,7 +421,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{Type: "sweep", Envs: []string{"vax-3"}},
 		{Type: "sweep", Envs: []string{"native"}, Trials: -1},
 		{Type: "experiment"},
-		{Type: "experiment", Exp: "blame"},
+		{Type: "sweep", Envs: []string{"kvm-7"}},
+		{Type: "sweep", Envs: []string{"native", "lightvm-3"}},
 		{Type: "interference", Envs: []string{"native"}},
 		{Type: "sweep", Envs: []string{"native"}, Scale: "enormous"},
 		{Type: "sweep", Envs: []string{"native"}, Fault: "gremlins"},

@@ -13,9 +13,8 @@
 // bit-identical to the same experiment run by the one-shot CLIs, which is
 // what lets N concurrent clients, the cache, and serial reruns all agree.
 //
-// Experiment jobs cover every core.ExperimentNames entry, including runs
-// that can never be served from the store (traced jobs and the isolation
-// experiment's contention cells bypass the cache in both directions); a
-// drift test in the repo root keeps the JobSpec surface, the CLI, and the
-// README listing in lockstep with the registry.
+// Experiment jobs cover every entry of the core.Experiments table,
+// including runs that can never be served from the store (the blame
+// experiment's traced cell and the isolation experiment's contention cells
+// bypass the cache in both directions).
 package daemon

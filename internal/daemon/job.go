@@ -8,6 +8,7 @@ import (
 
 	"ksa/internal/core"
 	"ksa/internal/fault"
+	"ksa/internal/platform"
 )
 
 // Job types accepted by the API.
@@ -23,9 +24,8 @@ type JobSpec struct {
 	// grid), "interference" (the fault-plan ablation), or "experiment"
 	// (one named paper table/figure).
 	Type string `json:"type"`
-	// Exp names the paper experiment for Type "experiment" (table1,
-	// table2, fig2, table3, fig3, fig4, lightvm, ablation, interference,
-	// density, specialize, isolation).
+	// Exp names the experiment for Type "experiment": any entry of
+	// core.Experiments.
 	Exp string `json:"exp,omitempty"`
 	// Scale is "quick" or "default" (the default).
 	Scale string `json:"scale,omitempty"`
@@ -70,25 +70,22 @@ func (s *JobSpec) Validate() error {
 		if len(s.Envs) == 0 {
 			return fmt.Errorf("sweep jobs need at least one environment")
 		}
-		if _, err := core.ParseEnvSpecs(s.Envs); err != nil {
+		envs, err := core.ParseEnvSpecs(s.Envs)
+		if err != nil {
 			return err
+		}
+		for _, e := range envs {
+			if err := e.Check(platform.PaperMachine); err != nil {
+				return err
+			}
 		}
 	case TypeInterference:
 		if len(s.Envs) != 0 {
 			return fmt.Errorf("interference jobs take no envs (the ablation grid is fixed)")
 		}
 	case TypeExperiment:
-		if s.Exp == "" {
-			return fmt.Errorf("experiment jobs need exp (one of %s)",
-				strings.Join(core.ExperimentNames(), ", "))
-		}
-		found := false
-		for _, n := range core.ExperimentNames() {
-			found = found || n == s.Exp
-		}
-		if !found {
-			return fmt.Errorf("unknown experiment %q (want one of %s)",
-				s.Exp, strings.Join(core.ExperimentNames(), ", "))
+		if _, err := core.LookupExperiment(s.Exp); err != nil {
+			return err
 		}
 	case "":
 		return fmt.Errorf("missing job type (want %s, %s, or %s)",

@@ -131,7 +131,7 @@ func TestRouterSSEEdgeCases(t *testing.T) {
 		wantStatus  int
 		wantEvents  int // -1: don't care
 	}{
-		{"replay all", events, "", http.StatusOK, 3},          // queued, started, done
+		{"replay all", events, "", http.StatusOK, 3}, // queued, started, done
 		{"since beyond head", events + "?since=9999", "", http.StatusOK, 0},
 		{"since at head", events + "?since=3", "", http.StatusOK, 0},
 		{"since mid-stream", events + "?since=2", "", http.StatusOK, 1},
@@ -194,6 +194,8 @@ func TestRouterCellEndpointEdges(t *testing.T) {
 		{"no env", `{"scale":"quick"}`},
 		{"bad env", `{"env":"mainframe-9"}`},
 		{"zero units", `{"env":"kvm-0"}`},
+		{"units do not divide the machine", `{"scale":"quick","env":"kvm-7"}`},
+		{"owner the lease file cannot carry", `{"env":"native","owner":"a\nowner=b","lease_ms":1000}`},
 		{"negative trial", `{"env":"native","trial":-1}`},
 		{"unknown scale", `{"env":"native","scale":"huge"}`},
 		{"unknown fault", `{"env":"native","fault":"gremlins"}`},
@@ -206,7 +208,8 @@ func TestRouterCellEndpointEdges(t *testing.T) {
 		}
 	}
 
-	// Valid cell: 200 with the cell's identity and a non-empty payload.
+	// Valid cell, which also shows the daemon survived the rejects: 200
+	// with the cell's identity and a non-empty payload.
 	res, err := cl.Cell(context.Background(), daemon.CellSpec{Scale: "quick", Env: "native", Trial: 1})
 	if err != nil {
 		t.Fatal(err)

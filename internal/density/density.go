@@ -143,7 +143,7 @@ func coldStartProgram(tab *syscalls.Table) *corpus.Program {
 	return &corpus.Program{Calls: []corpus.Call{
 		call("fork"),
 		call("execve", corpus.Const(7)),
-		call("brk", corpus.Const(1 << 22)),
+		call("brk", corpus.Const(1<<22)),
 		call("mmap", corpus.Const(0), corpus.Const(1<<21)),
 		call("mprotect", corpus.Const(0), corpus.Const(1<<16)),
 		call("prctl", corpus.Const(3)), // sandbox setup (no_new_privs/seccomp-style)

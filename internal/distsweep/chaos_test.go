@@ -154,7 +154,10 @@ func TestChaosSIGKILLWorkerMidSweep(t *testing.T) {
 	sc := daemon.ScaleFor(spec.Scale, spec.Seed)
 	sc.Cache = store
 	sc.Parallel = 1
-	serial := core.RunSweep(core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	serial, err := core.RunSweep(context.Background(), core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if serial.Par.CacheMisses != 0 {
 		t.Fatalf("resume run recomputed %d cell(s); cache incomplete after chaos", serial.Par.CacheMisses)
 	}
@@ -184,9 +187,9 @@ func TestChaosTwoCoordinatorsOneFleet(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			res, err := Run(runnerCtx(t), Options{
-				Spec:    spec,
-				Workers: fleet.URLs()[i*2 : i*2+2],
-				Owner:   fmt.Sprintf("coord-%d", i),
+				Spec:     spec,
+				Workers:  fleet.URLs()[i*2 : i*2+2],
+				Owner:    fmt.Sprintf("coord-%d", i),
 				LeaseTTL: 2 * time.Second, HoldWait: 50 * time.Millisecond,
 			})
 			results <- out{res, err}

@@ -54,7 +54,11 @@ func serialSweep(t *testing.T, spec Spec) core.SweepResult {
 	}
 	sc := daemon.ScaleFor(spec.Scale, spec.Seed)
 	sc.Parallel = 1
-	return core.RunSweep(core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	res, err := core.RunSweep(context.Background(), core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestRunMatchesSerialDigest is the bit-identity contract: a sweep

@@ -289,8 +289,8 @@ func TestDecodeRejectsBadSketch(t *testing.T) {
 	}
 	sketchSite := func(base uint32, counts ...uint64) func(w *writer) {
 		return func(w *writer) {
-			w.u8(1)    // sketch tag
-			w.u64(0)   // zero bucket
+			w.u8(1)  // sketch tag
+			w.u64(0) // zero bucket
 			w.u64(math.Float64bits(1))
 			w.u64(math.Float64bits(2))
 			w.u32(base)
@@ -305,7 +305,7 @@ func TestDecodeRejectsBadSketch(t *testing.T) {
 		b    []byte
 	}{
 		{"untrimmed-window", build(sketchSite(100, 0, 5))},
-		{"base-out-of-range", build(sketchSite(1 << 30, 1))},
+		{"base-out-of-range", build(sketchSite(1<<30, 1))},
 		{"unknown-tag", build(func(w *writer) { w.u8(9) })},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,9 @@
 // Work leases: advisory claim sentinels that let many processes shard one
 // grid of cache misses without re-simulating each other's cells.
 //
-// A lease is a tiny sentinel file next to the entry it guards, created
-// atomically (O_CREATE|O_EXCL), naming its owner and an expiry deadline.
+// A lease is a tiny sentinel file next to the entry it guards, published
+// atomically (a complete temp file hard-linked into place, which fails if
+// the sentinel exists), naming its owner and an expiry deadline.
 // Claimants that find a live lease back off; claimants that find an
 // expired one steal it by atomically renaming a replacement over it —
 // TTL-based reclamation, so a SIGKILLed worker's in-flight cell becomes
@@ -28,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // LeaseInfo describes the holder of a claim sentinel.
@@ -48,7 +50,19 @@ func (s *Store) leasePath(hash string) string {
 	return filepath.Join(s.dir, hash[:2], hash+".lease")
 }
 
+// CheckOwner rejects an owner the sentinel body cannot carry. A control
+// character (a newline above all) would split the owner line, so the
+// lease would read back under a different owner, and its holder could
+// neither refresh nor release it.
+func CheckOwner(owner string) error {
+	if i := strings.IndexFunc(owner, unicode.IsControl); i >= 0 {
+		return fmt.Errorf("lease owner %q has a control character at byte %d", owner, i)
+	}
+	return nil
+}
+
 // encodeLease renders the sentinel body: labeled lines, like entry keys.
+// The owner must pass CheckOwner.
 func encodeLease(l LeaseInfo) []byte {
 	return []byte(fmt.Sprintf("owner=%s\nexpires=%d\n", l.Owner, l.Expires.UnixNano()))
 }
@@ -95,10 +109,8 @@ func (s *Store) tryClaimAt(k Key, owner string, ttl time.Duration, now time.Time
 		return true, mine
 	}
 	for attempt := 0; ; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := s.linkLease(path, mine)
 		if err == nil {
-			f.Write(encodeLease(mine)) //nolint:errcheck // a torn sentinel parses as expired and is stolen
-			f.Close()                  //nolint:errcheck
 			return true, mine
 		}
 		if !os.IsExist(err) {
@@ -126,23 +138,50 @@ func (s *Store) tryClaimAt(k Key, owner string, ttl time.Duration, now time.Time
 	}
 }
 
+// linkLease publishes a sentinel at path only if none exists. The body is
+// written to a temp file first and then hard-linked into place, so the
+// sentinel is never visible empty: a create-then-write would let a
+// concurrent claimant read the empty file, parse it as expired, and steal
+// a fresh lease. The link fails with an IsExist error when path exists.
+func (s *Store) linkLease(path string, l LeaseInfo) error {
+	tmp, err := tempLease(path, l)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
+	return os.Link(tmp, path)
+}
+
 // writeLease atomically replaces the sentinel at path.
 func (s *Store) writeLease(path string, l LeaseInfo) bool {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-lease-*")
+	tmp, err := tempLease(path, l)
 	if err != nil {
 		return false
 	}
-	_, werr := tmp.Write(encodeLease(l))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return false
 	}
 	return true
+}
+
+// tempLease writes l's body to a fresh temp file beside path and returns
+// the temp file's name.
+func tempLease(path string, l LeaseInfo) (string, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-lease-*")
+	if err != nil {
+		return "", err
+	}
+	_, werr := tmp.Write(encodeLease(l))
+	cerr := tmp.Close()
+	if werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+		return "", werr
+	}
+	return tmp.Name(), nil
 }
 
 // ReleaseClaim removes k's lease if owner still holds it. Releasing a

@@ -134,6 +134,11 @@ type (
 	CacheStats = resultcache.Stats
 	// CacheKey identifies one cached result by its complete input set.
 	CacheKey = resultcache.Key
+	// Experiment is one entry of the experiment table (Experiments).
+	Experiment = core.Experiment
+	// ExperimentOutput is one experiment run's rendered text, CSV, and
+	// typed result.
+	ExperimentOutput = core.Output
 )
 
 // Environment kinds.
@@ -229,13 +234,6 @@ func RunVarbenchCached(cache *ResultCache, verify bool, spec EnvSpec, m Machine,
 	return core.RunVarbenchCached(cache, verify, spec, m, c, opts)
 }
 
-// RunBlame deploys the corpus at this scale on the chosen environment with
-// tracing enabled and returns per-site blame attribution alongside the
-// latency distributions (cmd/ksatrace's engine).
-func RunBlame(sc Scale, kind EnvKind, units int, threshold Time) BlameResult {
-	return core.RunBlame(sc, kind, units, threshold)
-}
-
 // RenderBlame formats a traced varbench result's blame report; top bounds
 // the worst-record list.
 func RenderBlame(res *VarbenchResult, top int) string {
@@ -254,8 +252,12 @@ func RunCluster(cfg ClusterConfig) ClusterResult { return cluster.Run(cfg) }
 // RunSweep executes an environment × corpus × trial grid of independent
 // varbench runs, fanned across Scale.Parallel workers. Results are merged
 // in job-key order and every run's seed is derived from its key, so the
-// output is bit-identical for every worker count.
-func RunSweep(o SweepOptions) SweepResult { return core.RunSweep(o) }
+// output is bit-identical for every worker count. On cancellation queued
+// cells are dropped, in-flight cells drain, and the completed prefix stays
+// bit-identical to a serial run (so a cached sweep resumes from there).
+func RunSweep(ctx context.Context, o SweepOptions) (SweepResult, error) {
+	return core.RunSweep(ctx, o)
+}
 
 // DeriveSeed maps (root seed, job key) to the job's private nonzero seed —
 // the derivation RunSweep uses, exported so external tooling can reproduce
@@ -269,7 +271,8 @@ func DefaultScale() Scale { return core.DefaultScale() }
 // QuickScale returns the test/smoke experiment scale.
 func QuickScale() Scale { return core.QuickScale() }
 
-// Experiment runners: each regenerates one of the paper's tables/figures.
+// Experiment runners: each regenerates one of the paper's tables/figures
+// and takes a context first (no new cell starts once it is done).
 var (
 	// VMConfigTable renders Table 1.
 	VMConfigTable = core.VMConfigTable
@@ -302,6 +305,16 @@ var (
 	// RunIsolation measures cross-tenant lock contention across the
 	// surface-area grid and derives each environment's isolation score.
 	RunIsolation = core.RunIsolation
+	// RunBlame deploys the corpus on one environment with tracing enabled
+	// and returns per-site blame attribution alongside the latency
+	// distributions (cmd/ksatrace's engine).
+	RunBlame = core.RunBlame
+	// Experiments is the experiment table ksaexp and ksad dispatch
+	// through, in canonical order.
+	Experiments = core.Experiments
+	// LookupExperiment returns the named table entry, or an error listing
+	// the valid names.
+	LookupExperiment = core.LookupExperiment
 	// ProfileCorpus derives a corpus's deterministic workload profile.
 	ProfileCorpus = specialize.ProfileCorpus
 	// SpecializeKernel generates the reduced kernel configuration for a
@@ -348,24 +361,6 @@ func NewDaemon(cfg DaemonConfig) *Daemon { return daemon.New(cfg) }
 
 // NewDaemonRouter binds the versioned ksad HTTP API to a daemon.
 func NewDaemonRouter(d *Daemon) http.Handler { return daemon.NewRouter(d) }
-
-// ExperimentNames lists the named paper experiments the daemon (and
-// RunExperiment) dispatches.
-func ExperimentNames() []string { return core.ExperimentNames() }
-
-// RunExperiment runs one named paper experiment under a context (see
-// ExperimentNames) and returns its rendered output; faultName selects the
-// interference preset and is ignored by every other experiment.
-func RunExperiment(ctx context.Context, sc Scale, name, faultName string) (string, error) {
-	return core.RunExperimentContext(ctx, sc, name, faultName)
-}
-
-// RunSweepContext is RunSweep with cancellation: queued cells are dropped
-// promptly, in-flight cells drain, and the completed prefix stays
-// bit-identical to a serial run (so a cached sweep resumes from there).
-func RunSweepContext(ctx context.Context, o SweepOptions) (SweepResult, error) {
-	return core.RunSweepContext(ctx, o)
-}
 
 // ParseEnvSpec parses "native", "kvm-8", "docker-64", "lightvm-16" — the
 // inverse of EnvSpec.String, as accepted by sweep jobs on the wire.
