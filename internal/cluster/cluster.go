@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"ksa/internal/corpus"
@@ -207,8 +208,13 @@ func Run(cfg Config) Result {
 	for i := range srcs {
 		srcs[i] = root.Split(uint64(i) + 100)
 	}
+	// One pool of Workers goroutines, capped at the node count, serves
+	// every fan-out of this run. Do fails only on a cancelled context, and
+	// this one never is.
+	pool := runner.NewPool(min(runner.Workers(cfg.Workers), cfg.Nodes))
+	defer pool.Close()
 	nodes := make([]*node, cfg.Nodes)
-	runner.Run(cfg.Nodes, cfg.Workers, func(i int) {
+	_, _ = pool.Do(context.Background(), 0, cfg.Nodes, func(i int) {
 		nodes[i] = newNode(cfg, i, srcs[i], per)
 	})
 
@@ -227,7 +233,7 @@ func Run(cfg Config) Result {
 	var nodeTimeCount int
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		start := release
-		runner.Run(cfg.Nodes, cfg.Workers, func(j int) {
+		_, _ = pool.Do(context.Background(), 0, cfg.Nodes, func(j int) {
 			i := order[j]
 			ends[i] = nodes[i].runIterationAt(cfg.App, conc, start)
 		})

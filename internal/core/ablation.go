@@ -9,7 +9,6 @@ import (
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/rng"
-	"ksa/internal/runner"
 	"ksa/internal/sim"
 	"ksa/internal/varbench"
 )
@@ -70,7 +69,7 @@ func ablationVariants() []ablationVariant {
 func RunAblation(ctx context.Context, sc Scale) (AblationResult, error) {
 	c, _ := sc.GenerateCorpus()
 	variants := ablationVariants()
-	rows, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(variants), func(i int) AblationRow {
+	rows, _, err := mapCells(ctx, sc, len(variants), func(i int) AblationRow {
 		v := variants[i]
 		par := kernel.DefaultParams(platform.PaperMachine.Cores, platform.PaperMachine.MemGB)
 		v.mut(&par)

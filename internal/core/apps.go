@@ -9,7 +9,6 @@ import (
 	"ksa/internal/corpus"
 	"ksa/internal/platform"
 	"ksa/internal/report"
-	"ksa/internal/runner"
 	"ksa/internal/tailbench"
 )
 
@@ -42,7 +41,7 @@ func RunFigure3(ctx context.Context, sc Scale) (Figure3Result, error) {
 		Util: 0.75, Warmup: sc.ServerWarmup, Measure: sc.ServerMeasure, Seed: sc.Seed,
 	}
 	apps := tailbench.Apps()
-	rows, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(apps), func(i int) tailbench.Fig3Row {
+	rows, _, err := mapCells(ctx, sc, len(apps), func(i int) tailbench.Fig3Row {
 		return tailbench.RunFig3App(apps[i], noise, srv, sc.Seed)
 	})
 	if err != nil {
@@ -125,9 +124,9 @@ func RunFigure4(ctx context.Context, sc Scale) (Figure4Result, error) {
 			cells = append(cells, cell{name, kind, false}, cell{name, kind, true})
 		}
 	}
-	runtimes, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(cells), func(i int) float64 {
+	runtimes, _, err := mapCells(ctx, sc, len(cells), func(i int) float64 {
 		cl := cells[i]
-		r := cachedCluster(sc.Cache, sc.CacheVerify, cluster.Config{
+		r := sc.cachedCluster(cluster.Config{
 			App: tailbench.AppByName(cl.app), Kind: cl.kind, Contended: cl.cont,
 			NoiseCorpus: noise, Nodes: sc.Nodes, Iterations: sc.ClusterIterations,
 			RequestsPerIter: sc.RequestsPerIter, Seed: sc.Seed, Workers: 1,

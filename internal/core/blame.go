@@ -7,7 +7,6 @@ import (
 
 	"ksa/internal/platform"
 	"ksa/internal/report"
-	"ksa/internal/runner"
 	"ksa/internal/sim"
 	"ksa/internal/trace"
 	"ksa/internal/varbench"
@@ -24,14 +23,14 @@ type BlameResult struct {
 // RunBlame deploys the corpus at this scale on env, built on the paper
 // machine, with tracing enabled. threshold is the outlier wall-time (0 =
 // the tracer's 1ms default). The traced run is one live cell on the
-// scale's executor: tracers do not serialize, so it never touches the
-// cache.
+// scale's pool: tracers do not serialize, so it never touches the cache.
 func RunBlame(ctx context.Context, sc Scale, env EnvSpec, threshold sim.Time) (BlameResult, error) {
 	c, _ := sc.GenerateCorpus()
 	opts := sc.vbOptions()
 	opts.Trace = &trace.Options{Threshold: threshold}
-	runs, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, 1, func(int) *varbench.Result {
-		return varbench.Run(env.Build(sim.NewEngine(), platform.PaperMachine, sc.Seed), c, opts)
+	runs, _, err := mapCells(ctx, sc, 1, func(int) *varbench.Result {
+		res, _ := sc.cachedCell(env, platform.PaperMachine, c, "", opts)
+		return res
 	})
 	if err != nil {
 		return BlameResult{}, err

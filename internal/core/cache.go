@@ -33,15 +33,16 @@ func (sc Scale) corpusDigest(c *corpus.Corpus) string {
 }
 
 // varbenchKey builds the cache key for one harness run: the complete input
-// set of the pure function varbench.Run ∘ EnvSpec.Build. The experiment
-// that asks is deliberately NOT part of the key — Table 2's kvm-64 cell
-// and Figure 2's are the same computation and share one entry. For
-// specialized environments the generating profile's signature joins the
-// environment fingerprint: the profile determines the generated kernels,
-// so results from different profiles (or from full-surface kernels) must
-// address different entries.
-func varbenchKey(env EnvSpec, m platform.Machine, opts varbench.Options,
-	faultSig, corpusDigest string, seed uint64) resultcache.Key {
+// set of the pure function varbench.Run ∘ EnvSpec.Build — the environment
+// on machine m, the harness options (their fingerprint, fault plan
+// signature and seed) and the corpus digest. The experiment that asks is
+// deliberately NOT part of the key — Table 2's kvm-64 cell and Figure 2's
+// are the same computation and share one entry. For specialized
+// environments the generating profile's signature joins the environment
+// fingerprint: the profile determines the generated kernels, so results
+// from different profiles (or from full-surface kernels) must address
+// different entries.
+func varbenchKey(env EnvSpec, m platform.Machine, opts varbench.Options, corpusDigest string) resultcache.Key {
 	envFP := fmt.Sprintf("%s@%dc%gg", env, m.Cores, m.MemGB)
 	if env.Kind == platform.KindSpecialized && env.Profile != nil {
 		envFP += "/prof=" + env.Profile.Sig()
@@ -51,76 +52,55 @@ func varbenchKey(env EnvSpec, m platform.Machine, opts varbench.Options,
 		Kind:     cacheKindVarbench,
 		Env:      envFP,
 		Opts:     opts.Fingerprint(),
-		FaultSig: faultSig,
+		FaultSig: faultSigOf(opts.Faults),
 		Corpus:   corpusDigest,
-		Seed:     seed,
+		Seed:     opts.Seed,
 	}
 }
 
-// cachedVarbench consults the store before running fresh and writes
-// through after. A corrupt or undecodable entry is reclassified as a miss
-// and recomputed; with verify set, every hit is recomputed and must be
-// byte-equal to the stored entry.
-func cachedVarbench(st *resultcache.Store, verify bool, key resultcache.Key,
-	fresh func() *varbench.Result) *varbench.Result {
-	res, _ := cachedVarbenchHit(st, verify, key, fresh)
-	return res
-}
-
-// cachedVarbenchHit is cachedVarbench plus whether the result was served
-// from the store (the per-cell signal progress events carry).
-func cachedVarbenchHit(st *resultcache.Store, verify bool, key resultcache.Key,
-	fresh func() *varbench.Result) (*varbench.Result, bool) {
-	if st == nil {
-		return fresh(), false
-	}
+// cacheThrough serves one cell through st: a stored entry that decodes is
+// the result (with verify set the cell is recomputed too, and its encoding
+// must equal the entry byte for byte); an entry that does not decode is
+// reclassified as a miss; on a miss the cell runs and its encoding is
+// written through. It reports whether the store served the result — the
+// per-cell flag fan-outs count their cache hits and misses from.
+func cacheThrough[T any](st *resultcache.Store, verify bool, key resultcache.Key,
+	encode func(T) []byte, decode func([]byte) (T, error), run func() T) (T, bool) {
 	if payload, ok := st.Get(key); ok {
-		res, err := codec.DecodeResult(payload)
+		res, err := decode(payload)
 		if err == nil {
 			if verify {
-				verifyHit(key, payload, codec.EncodeResult(fresh()))
+				verifyHit(key, payload, encode(run()))
 			}
 			return res, true
 		}
 		st.Corrupt(key, err)
 	}
-	res := fresh()
-	st.Put(key, codec.EncodeResult(res))
+	res := run()
+	st.Put(key, encode(res))
 	return res, false
 }
 
-// cachedCluster is cachedVarbench for cluster cells.
-func cachedCluster(st *resultcache.Store, verify bool, cfg cluster.Config,
-	noiseDigest string) cluster.Result {
-	if st == nil {
+// cachedCluster runs one cluster cell through the store when the cache is
+// on.
+func (sc Scale) cachedCluster(cfg cluster.Config, noiseDigest string) cluster.Result {
+	if sc.Cache == nil {
 		return cluster.Run(cfg)
-	}
-	sig := ""
-	if cfg.Faults != nil {
-		sig = cfg.Faults.Sig()
 	}
 	key := resultcache.Key{
 		Salt:     resultcache.CodeVersion,
 		Kind:     cacheKindCluster,
 		Env:      cfg.Fingerprint(),
-		FaultSig: sig,
+		FaultSig: faultSigOf(cfg.Faults),
 		Corpus:   noiseDigest,
 		Seed:     cfg.Seed,
 	}
-	if payload, ok := st.Get(key); ok {
-		res, err := codec.DecodeCluster(payload)
-		if err == nil {
-			if verify {
-				fresh := cluster.Run(cfg)
-				verifyHit(key, payload, codec.EncodeCluster(&fresh))
-			}
-			return *res
-		}
-		st.Corrupt(key, err)
-	}
-	res := cluster.Run(cfg)
-	st.Put(key, codec.EncodeCluster(&res))
-	return res
+	res, _ := cacheThrough(sc.Cache, sc.CacheVerify, key, codec.EncodeCluster, codec.DecodeCluster,
+		func() *cluster.Result {
+			res := cluster.Run(cfg)
+			return &res
+		})
+	return *res
 }
 
 // verifyHit asserts the recomputed encoding matches the stored one. A
@@ -134,49 +114,48 @@ func verifyHit(key resultcache.Key, stored, fresh []byte) {
 	}
 }
 
-// fillCacheMetrics copies the store's counter deltas since `before` onto
-// the fan-out metrics, so cache effectiveness shows up next to wall/queue
-// accounting.
-func fillCacheMetrics(m *runner.Metrics, st *resultcache.Store, before resultcache.Stats) {
-	if st == nil {
-		return
+// store returns the result store a cell run with opts reads and writes:
+// none when the cache is off, and none for traced or contention-recording
+// runs — their Results carry live tracers / an isolation recorder that
+// cannot be serialized, and a cached payload could not reproduce them — so
+// such runs neither read nor write entries.
+func (sc Scale) store(opts varbench.Options) *resultcache.Store {
+	if opts.Trace != nil || opts.Contention {
+		return nil
 	}
-	d := st.Stats().Sub(before)
-	m.CacheHits = int(d.Hits)
-	m.CacheMisses = int(d.Misses)
-	m.CacheBytesRead = d.BytesRead
-	m.CacheBytesWritten = d.BytesWritten
+	return sc.Cache
 }
 
-// cacheSnapshot returns the store's current counters (zero when off).
-func (sc Scale) cacheSnapshot() resultcache.Stats {
-	if sc.Cache == nil {
-		return resultcache.Stats{}
-	}
-	return sc.Cache.Stats()
-}
-
-// cachedCell runs one (environment, options) varbench cell of a
-// table/figure experiment through the cache. The cell's entire randomness
-// is opts.Seed: it seeds both environment construction and the harness.
-// Traced and contention-recording runs bypass the cache in both
-// directions — their Results carry live tracers / an isolation recorder
-// that cannot be serialized, and a cached payload could not reproduce
-// them — so such runs neither read nor write entries.
+// cachedCell is the one path every environment cell takes — tables,
+// figures, sweeps, interference pairs, blame and isolation alike: build
+// spec on m and run corpus c through the harness, through the store when
+// sc.store allows it, and report whether the store served the result. The
+// cell's entire randomness is opts.Seed: it seeds both environment
+// construction and the harness. digest is c's cache digest.
 func (sc Scale) cachedCell(spec EnvSpec, m platform.Machine, c *corpus.Corpus,
-	digest string, opts varbench.Options) *varbench.Result {
-	fresh := func() *varbench.Result {
+	digest string, opts varbench.Options) (*varbench.Result, bool) {
+	run := func() *varbench.Result {
 		return varbench.Run(spec.Build(sim.NewEngine(), m, opts.Seed), c, opts)
 	}
-	if sc.Cache == nil || opts.Trace != nil || opts.Contention {
-		return fresh()
+	st := sc.store(opts)
+	if st == nil {
+		return run(), false
 	}
-	sig := ""
-	if opts.Faults != nil {
-		sig = opts.Faults.Sig()
+	return cacheThrough(st, sc.CacheVerify, varbenchKey(spec, m, opts, digest),
+		codec.EncodeResult, codec.DecodeResult, run)
+}
+
+// countCache sets m's cache counts from the hit flags of the cell lookups
+// that ran. The counts come from the fan-out's own cells, so they stay
+// exact when other fan-outs share the store.
+func countCache(m *runner.Metrics, hits []bool) {
+	for _, hit := range hits {
+		if hit {
+			m.CacheHits++
+		} else {
+			m.CacheMisses++
+		}
 	}
-	return cachedVarbench(sc.Cache, sc.CacheVerify,
-		varbenchKey(spec, m, opts, sig, digest, opts.Seed), fresh)
 }
 
 // RunVarbenchCached is the single-run entry point the varbench CLI uses:
@@ -187,7 +166,8 @@ func (sc Scale) cachedCell(spec EnvSpec, m platform.Machine, c *corpus.Corpus,
 func RunVarbenchCached(st *resultcache.Store, verify bool, spec EnvSpec,
 	m platform.Machine, c *corpus.Corpus, opts varbench.Options) *varbench.Result {
 	sc := Scale{Cache: st, CacheVerify: verify}
-	return sc.cachedCell(spec, m, c, sc.corpusDigest(c), opts)
+	res, _ := sc.cachedCell(spec, m, c, sc.corpusDigest(c), opts)
+	return res
 }
 
 // faultSigOf returns the plan's signature or "" for nil.

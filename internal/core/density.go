@@ -54,7 +54,7 @@ func densityTenants(sc Scale) []int {
 func RunDensity(ctx context.Context, sc Scale) (DensityResult, error) {
 	tenants := densityTenants(sc)
 	surfaces := density.Surfaces
-	rows, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(surfaces)*len(tenants), func(i int) DensityRow {
+	rows, _, err := mapCells(ctx, sc, len(surfaces)*len(tenants), func(i int) DensityRow {
 		surf, n := surfaces[i/len(tenants)], tenants[i%len(tenants)]
 		key := fmt.Sprintf("density/%s/%d", surf, n)
 		r := density.Run(density.Options{

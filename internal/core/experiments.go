@@ -50,15 +50,15 @@ type Scale struct {
 	// audit (the -cache-verify flag).
 	CacheVerify bool
 
-	// Exec, when non-nil, is the executor every fan-out at this scale runs
-	// its cells on — typically a shared runner.Pool, so many concurrent
-	// experiments multiplex onto one fixed worker set (the daemon's mode).
-	// Nil falls back to an ephemeral Parallel-worker fan-out per call.
-	// Executors never change results: cells stay bit-identical regardless
-	// of where or in what order they run.
-	Exec runner.Executor
+	// Exec, when non-nil, is the shared pool every fan-out at this scale
+	// runs its cells on, so many concurrent experiments multiplex onto one
+	// fixed worker set (the daemon's mode). Nil gives each fan-out a pool
+	// of Parallel workers, capped at its cell count, that lives for that
+	// fan-out alone. Pools never change results: cells stay bit-identical
+	// regardless of where or in what order they run.
+	Exec *runner.Pool
 	// Priority orders this scale's cells against other work on a shared
-	// executor (higher first). Ignored by the ephemeral fallback.
+	// pool (higher first).
 	Priority int
 
 	// Corpus generation.
@@ -137,13 +137,31 @@ func (sc Scale) vbOptions() varbench.Options {
 		ExactStats: sc.ExactStats}
 }
 
-// exec resolves the executor fan-outs run on: the shared one when set,
-// otherwise an ephemeral inline fan-out over Parallel workers.
-func (sc Scale) exec() runner.Executor {
+// pool returns the pool a fan-out of n cells runs on and the function
+// that releases it: the shared Exec pool, or a pool of Parallel workers,
+// capped at n, that lives for this fan-out.
+func (sc Scale) pool(n int) (*runner.Pool, func()) {
 	if sc.Exec != nil {
-		return sc.Exec
+		return sc.Exec, func() {}
 	}
-	return runner.Inline{Workers: sc.Parallel}
+	p := runner.NewPool(max(1, min(runner.Workers(sc.Parallel), n)))
+	return p, p.Close
+}
+
+// mapCells runs fn over n cells on the scale's pool at its priority and
+// returns the results in cell order (runner.MapOn).
+func mapCells[T any](ctx context.Context, sc Scale, n int, fn func(i int) T) ([]T, runner.Metrics, error) {
+	pool, release := sc.pool(n)
+	defer release()
+	return runner.MapOn(ctx, pool, sc.Priority, n, fn)
+}
+
+// sweepCells runs keyed jobs on the scale's pool at its priority, each
+// seeded from its key and the scale's root seed (runner.SweepOn).
+func sweepCells[T any](ctx context.Context, sc Scale, jobs []runner.Job[T]) ([]T, runner.Metrics, error) {
+	pool, release := sc.pool(len(jobs))
+	defer release()
+	return runner.SweepOn(ctx, pool, sc.Priority, sc.Seed, jobs)
 }
 
 // ---------------------------------------------------------------------------
@@ -193,8 +211,9 @@ func RunTable2(ctx context.Context, sc Scale) (Table2Result, error) {
 	// The three environments are independent simulations; fan them out and
 	// merge in environment order. Each cell is consulted against / written
 	// through the result cache when Scale.Cache is set.
-	runs, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(envs), func(i int) *varbench.Result {
-		return sc.cachedCell(envs[i], platform.PaperMachine, c, digest, sc.vbOptions())
+	runs, _, err := mapCells(ctx, sc, len(envs), func(i int) *varbench.Result {
+		res, _ := sc.cachedCell(envs[i], platform.PaperMachine, c, digest, sc.vbOptions())
+		return res
 	})
 	if err != nil {
 		return res, err
@@ -249,12 +268,13 @@ func RunFigure2(ctx context.Context, sc Scale) (Figure2Result, error) {
 	// native and kvm-64 cells address the same cache entries as Table 2's —
 	// cells are keyed by their inputs, not by the experiment asking.
 	counts := []int{1, 2, 4, 8, 16, 32, 64}
-	runs, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, 1+len(counts), func(i int) *varbench.Result {
+	runs, _, err := mapCells(ctx, sc, 1+len(counts), func(i int) *varbench.Result {
 		spec := EnvSpec{Kind: platform.KindNative}
 		if i > 0 {
 			spec = EnvSpec{Kind: platform.KindVMs, Units: counts[i-1]}
 		}
-		return sc.cachedCell(spec, platform.PaperMachine, c, digest, opts)
+		res, _ := sc.cachedCell(spec, platform.PaperMachine, c, digest, opts)
+		return res
 	})
 	if err != nil {
 		return Figure2Result{VMCounts: counts}, err
@@ -315,9 +335,10 @@ func RunTable3(ctx context.Context, sc Scale) (Table3Result, error) {
 	for n := 1; n <= 64; n *= 2 {
 		res.Counts = append(res.Counts, n)
 	}
-	maxes, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(res.Counts), func(i int) stats.Breakdown {
+	maxes, _, err := mapCells(ctx, sc, len(res.Counts), func(i int) stats.Breakdown {
 		spec := EnvSpec{Kind: platform.KindContainers, Units: res.Counts[i]}
-		return sc.cachedCell(spec, platform.PaperMachine, c, digest, sc.vbOptions()).MaxBreakdown()
+		r, _ := sc.cachedCell(spec, platform.PaperMachine, c, digest, sc.vbOptions())
+		return r.MaxBreakdown()
 	})
 	if err != nil {
 		return res, err

@@ -7,7 +7,6 @@ import (
 
 	"ksa/internal/platform"
 	"ksa/internal/report"
-	"ksa/internal/runner"
 	"ksa/internal/tailbench"
 )
 
@@ -43,7 +42,7 @@ func RunLightVMExtension(ctx context.Context, sc Scale) (LightVMResult, error) {
 	// 5 apps × 3 substrates × {iso, cont} = 30 independent single-node
 	// simulations, fanned out and merged in grid order.
 	kinds := []platform.EnvKind{platform.KindContainers, platform.KindVMs, platform.KindLightVMs}
-	p99s, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(apps)*len(kinds)*2, func(i int) float64 {
+	p99s, _, err := mapCells(ctx, sc, len(apps)*len(kinds)*2, func(i int) float64 {
 		app, rest := apps[i/(len(kinds)*2)], i%(len(kinds)*2)
 		return tailbench.RunSingleNode(tailbench.SingleNodeConfig{
 			Kind: kinds[rest/2], App: tailbench.AppByName(app), Contended: rest%2 == 1,

@@ -9,7 +9,6 @@ import (
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/runner"
-	"ksa/internal/sim"
 	"ksa/internal/stats"
 	"ksa/internal/varbench"
 )
@@ -85,13 +84,13 @@ func RunInterference(ctx context.Context, sc Scale, plan fault.Plan) (Interferen
 	}
 	c, _ := sc.GenerateCorpus()
 	digest := sc.corpusDigest(c)
-	before := sc.cacheSnapshot()
 	envs := interferenceEnvs()
 	machine := platform.PaperMachine
 
+	// hits[2i] and hits[2i+1] are row i's clean and dosed lookups.
+	hits := make([]bool, 2*len(envs))
 	var jobs []runner.Job[InterferenceRow]
-	for _, env := range envs {
-		env := env
+	for i, env := range envs {
 		// The job key — and so the cell's derived seed — is deliberately
 		// plan-free: the same environment always simulates under the same
 		// seed, so its clean baseline is one cache entry shared by every
@@ -103,22 +102,16 @@ func RunInterference(ctx context.Context, sc Scale, plan fault.Plan) (Interferen
 				// The clean and dosed halves of the pair are cached as
 				// separate entries (distinct fault signatures), so dosing a
 				// different plan over the same grid reuses every baseline.
-				run := func(p *fault.Plan) *varbench.Result {
+				run := func(half int, p *fault.Plan) *varbench.Result {
 					opts := sc.vbOptions()
 					opts.Seed = seed
 					opts.Faults = p
-					fresh := func() *varbench.Result {
-						return varbench.Run(env.Build(sim.NewEngine(), machine, seed), c, opts)
-					}
-					if sc.Cache == nil {
-						return fresh()
-					}
-					key := varbenchKey(env, machine, opts, faultSigOf(p), digest, seed)
-					return cachedVarbench(sc.Cache, sc.CacheVerify, key, fresh)
+					res, hit := sc.cachedCell(env, machine, c, digest, opts)
+					hits[2*i+half] = hit
+					return res
 				}
-				base := pooledLatencies(run(nil))
-				faulted := run(&plan)
-				pool := pooledLatencies(faulted)
+				base := pooledLatencies(run(0, nil))
+				pool := pooledLatencies(run(1, &plan))
 				row := InterferenceRow{
 					Env:      env,
 					BaseP50:  base.Median(),
@@ -141,13 +134,11 @@ func RunInterference(ctx context.Context, sc Scale, plan fault.Plan) (Interferen
 			},
 		})
 	}
-	rows, m, err := runner.SweepOn(ctx, sc.exec(), sc.Priority, sc.Seed, jobs)
-	fillCacheMetrics(&m, sc.Cache, before)
-	res := InterferenceResult{Plan: plan.Name, Rows: rows, Par: m}
-	if err != nil {
-		res.Rows = rows[:m.Completed]
+	rows, m, err := sweepCells(ctx, sc, jobs)
+	if sc.Cache != nil {
+		countCache(&m, hits[:2*m.Completed])
 	}
-	return res, err
+	return InterferenceResult{Plan: plan.Name, Rows: rows[:m.Completed], Par: m}, err
 }
 
 // Render formats the ablation table.

@@ -10,7 +10,6 @@ import (
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/runner"
-	"ksa/internal/sim"
 	"ksa/internal/specialize"
 	"ksa/internal/syscalls"
 	"ksa/internal/varbench"
@@ -82,8 +81,8 @@ func isolationEnvs(prof *specialize.Profile) []EnvSpec {
 // surface-area grid and derives each environment's isolation score. Cells
 // fan out across Scale.Parallel workers with per-key derived seeds;
 // results are bit-identical at any worker count. Cells always run live:
-// contention recording bypasses the result cache (the recorder is not
-// serializable), exactly like traced runs.
+// cachedCell keeps contention-recording runs out of the result cache (the
+// recorder is not serializable), exactly like traced runs.
 func RunIsolation(ctx context.Context, sc Scale) (IsolationResult, error) {
 	c, _ := sc.GenerateCorpus()
 	// The profiling seed key matches PlanSweep's and RunSpecialize's, so
@@ -105,17 +104,13 @@ func RunIsolation(ctx context.Context, sc Scale) (IsolationResult, error) {
 				opts := sc.vbOptions()
 				opts.Seed = seed
 				opts.Contention = true
-				r := varbench.Run(env.Build(sim.NewEngine(), machine, seed), c, opts)
+				r, _ := sc.cachedCell(env, machine, c, "", opts)
 				return isolationRow(env, r)
 			},
 		})
 	}
-	rows, m, err := runner.SweepOn(ctx, sc.exec(), sc.Priority, sc.Seed, jobs)
-	res := IsolationResult{Rows: rows, Par: m}
-	if err != nil {
-		res.Rows = rows[:m.Completed]
-	}
-	return res, err
+	rows, m, err := sweepCells(ctx, sc, jobs)
+	return IsolationResult{Rows: rows[:m.Completed], Par: m}, err
 }
 
 // isolationRow reduces one environment run's recorder to its report row.

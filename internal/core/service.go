@@ -1,8 +1,6 @@
 // Service-facing helpers: the pieces a long-running control plane (the
 // ksad daemon) needs from the experiment layer — parsing environment specs
-// received over the wire, rendering and fingerprinting sweep results, and
-// probing whether a whole sweep is already answerable from the result
-// store.
+// received over the wire, and rendering and fingerprinting sweep results.
 package core
 
 import (
@@ -12,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ksa/internal/corpus"
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/resultcache/codec"
@@ -111,26 +108,4 @@ func (r SweepResult) Digest() string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SweepCached reports whether every cell of the sweep already has an
-// entry in the result store — the fast-path probe a service uses to
-// answer fully warmed jobs without occupying its worker pool. It returns
-// the corpus it generated (pass it back via SweepOptions.Corpus so the
-// serving run does not regenerate it). The probe uses existence checks
-// only and touches no counters; a corrupt entry discovered later simply
-// recomputes through the normal path. Always false for traced or
-// uncached sweeps.
-func SweepCached(o SweepOptions) (*corpus.Corpus, bool) {
-	cache := o.Scale.Cache
-	if cache == nil || o.Trace {
-		return o.Corpus, false
-	}
-	p := PlanSweep(o)
-	for _, cell := range p.Cells {
-		if !cache.Contains(p.CacheKey(cell)) {
-			return p.Opts.Corpus, false
-		}
-	}
-	return p.Opts.Corpus, true
 }

@@ -124,8 +124,9 @@ func RunSpecialize(ctx context.Context, sc Scale) (SpecializeResult, error) {
 		{Kind: platform.KindContainers, Units: 64},
 		{Kind: platform.KindSpecialized, Units: 64, Profile: prof},
 	}
-	runs, _, err := runner.MapOn(ctx, sc.exec(), sc.Priority, len(envs), func(i int) *varbench.Result {
-		return sc.cachedCell(envs[i], platform.PaperMachine, c, digest, sc.vbOptions())
+	runs, _, err := mapCells(ctx, sc, len(envs), func(i int) *varbench.Result {
+		res, _ := sc.cachedCell(envs[i], platform.PaperMachine, c, digest, sc.vbOptions())
+		return res
 	})
 	if err != nil {
 		return res, err

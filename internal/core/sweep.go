@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
@@ -45,13 +46,18 @@ func (e EnvSpec) String() string {
 }
 
 // Check reports whether the spec can be built on m: the machine needs at
-// least one core, VM-style partitions (kvm, lightvm, specialized) must
-// divide its cores evenly, and containers need at least one unit. Build
-// panics on a spec that fails this check, so every boundary that accepts
-// specs from outside (flags, HTTP bodies) checks them first.
+// least one core and a positive, finite amount of memory, VM-style
+// partitions (kvm, lightvm, specialized) must divide its cores evenly, and
+// containers need at least one unit. A spec that fails this check makes
+// Build panic or yields results for a machine that cannot exist, so every
+// boundary that accepts specs from outside (flags, HTTP bodies) checks
+// them first.
 func (e EnvSpec) Check(m platform.Machine) error {
 	if m.Cores < 1 {
 		return fmt.Errorf("machine has %d cores, want at least 1", m.Cores)
+	}
+	if !(m.MemGB > 0) || math.IsInf(m.MemGB, 1) {
+		return fmt.Errorf("machine has %g GB of memory, want a positive finite amount", m.MemGB)
 	}
 	switch e.Kind {
 	case platform.KindVMs, platform.KindLightVMs, platform.KindSpecialized:
@@ -254,13 +260,22 @@ func PlanSweep(o SweepOptions) SweepPlan {
 	return p
 }
 
-// cache returns the plan's result store, nil for traced sweeps (live
-// tracers are not serializable).
-func (p SweepPlan) cache() *resultcache.Store {
+// options returns the harness options of the cell seeded with seed: the
+// scale's iteration counts plus the sweep's tracer and fault plan.
+func (p SweepPlan) options(seed uint64) varbench.Options {
+	opts := p.Opts.Scale.vbOptions()
+	opts.Seed = seed
+	opts.Faults = p.Opts.Faults
 	if p.Opts.Trace {
-		return nil
+		opts.Trace = &trace.Options{}
 	}
-	return p.Opts.Scale.Cache
+	return opts
+}
+
+// cache returns the store the plan's cells read and write: nil when the
+// cache is off or the sweep is traced (see Scale.store).
+func (p SweepPlan) cache() *resultcache.Store {
+	return p.Opts.Scale.store(p.options(0))
 }
 
 // CacheKey returns the result-store key addressing one cell. The trial
@@ -268,36 +283,19 @@ func (p SweepPlan) cache() *resultcache.Store {
 // randomness, so a cell is addressed by exactly the inputs that determine
 // its bits.
 func (p SweepPlan) CacheKey(c SweepCell) resultcache.Key {
-	opts := p.Opts.Scale.vbOptions()
-	opts.Seed = c.Seed
-	return varbenchKey(c.Env, p.Opts.Machine, opts, c.FaultSig, p.digest, c.Seed)
+	return varbenchKey(c.Env, p.Opts.Machine, p.options(c.Seed), p.digest)
 }
 
 // RunCell executes exactly one cell — through the cache when configured —
 // and reports whether it was served from the store. This is the single
 // cell code path shared by every execution mode: the serial baseline, the
 // in-process parallel fan-out, the daemon's pool, and a remote worker
-// answering a coordinator all call here, which is what makes their
-// outputs bit-identical by construction.
+// answering a coordinator all call here, and it runs the cell through
+// Scale.cachedCell like every other experiment cell, which is what makes
+// their outputs bit-identical by construction.
 func (p SweepPlan) RunCell(c SweepCell) (SweepRun, bool) {
 	o := p.Opts
-	fresh := func() *varbench.Result {
-		eng := sim.NewEngine()
-		opts := o.Scale.vbOptions()
-		opts.Seed = c.Seed
-		if o.Trace {
-			opts.Trace = &trace.Options{}
-		}
-		opts.Faults = o.Faults
-		return varbench.Run(c.Env.Build(eng, o.Machine, c.Seed), o.Corpus, opts)
-	}
-	var res *varbench.Result
-	hit := false
-	if cache := p.cache(); cache != nil {
-		res, hit = cachedVarbenchHit(cache, o.Scale.CacheVerify, p.CacheKey(c), fresh)
-	} else {
-		res = fresh()
-	}
+	res, hit := o.Scale.cachedCell(c.Env, o.Machine, o.Corpus, p.digest, p.options(c.Seed))
 	run := SweepRun{Env: c.Env, Trial: c.Trial, FaultSig: c.FaultSig, Seed: c.Seed, Res: res}
 	if o.Progress != nil {
 		o.Progress(SweepProgress{
@@ -307,16 +305,34 @@ func (p SweepPlan) RunCell(c SweepCell) (SweepRun, bool) {
 	return run, hit
 }
 
-// RunSweep executes the environment × trial grid, fanning the independent
-// simulations across Scale.Parallel workers. The output is bit-identical
-// for every worker count: job order fixes the merge order and per-key seed
-// derivation fixes each run's randomness.
+// Cached reports whether every cell already has an entry in the result
+// store — the probe a service uses to answer a fully warmed sweep without
+// occupying its shared pool. It checks existence only and moves no
+// counter; a corrupt entry discovered later simply recomputes through
+// RunCell. Always false for traced or uncached sweeps.
+func (p SweepPlan) Cached() bool {
+	st := p.cache()
+	if st == nil {
+		return false
+	}
+	for _, c := range p.Cells {
+		if !st.Contains(p.CacheKey(c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Run executes the planned grid, fanning the independent simulations
+// across the scale's pool. The output is bit-identical for every worker
+// count: job order fixes the merge order and per-key seed derivation
+// fixes each run's randomness.
 //
 // With Scale.Cache set (and Trace off — live tracers are not
-// serializable), each worker consults the content-addressed store before
+// serializable), each cell consults the content-addressed store before
 // simulating and writes through after, so an interrupted sweep resumes
 // executing only the missing cells and a repeated sweep is served entirely
-// from cache.
+// from cache. Par's cache counts come from the cells' own hit flags.
 //
 // Once ctx is done no new cell starts (queued cells are abandoned
 // promptly), in-flight cells drain to completion — and, with a cache, stay
@@ -325,32 +341,31 @@ func (p SweepPlan) RunCell(c SweepCell) (SweepRun, bool) {
 // prefix [0, Par.Completed) of the grid, each bit-identical to the same
 // cell of an uninterrupted serial run; rerunning the sweep against the
 // same cache resumes from there.
-func RunSweep(ctx context.Context, o SweepOptions) (SweepResult, error) {
-	p := PlanSweep(o)
-	before := o.Scale.cacheSnapshot()
+func (p SweepPlan) Run(ctx context.Context) (SweepResult, error) {
+	hits := make([]bool, len(p.Cells))
 	jobs := make([]runner.Job[SweepRun], len(p.Cells))
 	for i, cell := range p.Cells {
-		cell := cell
 		jobs[i] = runner.Job[SweepRun]{
 			Key: cell.JobKey,
 			Run: func(seed uint64) SweepRun {
 				// seed == cell.Seed by construction: both are
 				// DeriveSeed(root, JobKey). The plan's copy exists so remote
 				// workers can verify it without re-deriving.
-				run, _ := p.RunCell(cell)
+				run, hit := p.RunCell(cell)
+				hits[i] = hit
 				return run
 			},
 		}
 	}
-	runs, m, err := runner.SweepOn(ctx, o.exec(), o.Scale.Priority, o.Scale.Seed, jobs)
-	fillCacheMetrics(&m, p.cache(), before)
-	if err != nil {
-		runs = runs[:m.Completed]
+	runs, m, err := sweepCells(ctx, p.Opts.Scale, jobs)
+	if p.cache() != nil {
+		countCache(&m, hits[:m.Completed])
 	}
-	return SweepResult{Runs: runs, Par: m}, err
+	return SweepResult{Runs: runs[:m.Completed], Par: m}, err
 }
 
-// exec resolves the sweep's executor (see Scale.exec).
-func (o SweepOptions) exec() runner.Executor {
-	return o.Scale.exec()
+// RunSweep plans the environment × trial grid and runs it:
+// PlanSweep(o).Run(ctx).
+func RunSweep(ctx context.Context, o SweepOptions) (SweepResult, error) {
+	return PlanSweep(o).Run(ctx)
 }

@@ -126,3 +126,47 @@ func TestSweepMetrics(t *testing.T) {
 		t.Fatalf("Wall %v / Busy %v must be positive", res.Par.Wall, res.Par.Busy())
 	}
 }
+
+// TestEnvSpecCheck: a spec fits a machine with at least one core and a
+// positive, finite amount of memory, VM-style partitions dividing its
+// cores and at least one container.
+func TestEnvSpecCheck(t *testing.T) {
+	paper := platform.PaperMachine
+	cases := []struct {
+		env  string
+		m    platform.Machine
+		fits bool
+	}{
+		{"native", paper, true},
+		{"kvm-8", paper, true},
+		{"lightvm-16", paper, true},
+		{"specialized-64", paper, true},
+		{"docker-3", paper, true},
+		{"native", platform.Machine{Cores: 1, MemGB: 0.5}, true},
+		{"native", platform.Machine{Cores: 0, MemGB: 32}, false},
+		{"kvm-7", paper, false},
+		{"lightvm-3", paper, false},
+		{"specialized-128", paper, false},
+		{"docker-64", platform.Machine{Cores: 8, MemGB: 4}, true},
+		{"native", platform.Machine{Cores: 8, MemGB: -4}, false},
+		{"kvm-8", platform.Machine{Cores: 8, MemGB: 0}, false},
+		{"native", platform.Machine{Cores: 8, MemGB: math.NaN()}, false},
+		{"native", platform.Machine{Cores: 8, MemGB: math.Inf(1)}, false},
+	}
+	for _, tc := range cases {
+		env, err := ParseEnvSpec(tc.env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Check(tc.m); (err == nil) != tc.fits {
+			t.Errorf("%s on %+v: Check = %v, want fits=%v", tc.env, tc.m, err, tc.fits)
+		}
+	}
+	// Units the parser refuses never reach Check from outside, but a Go
+	// caller can build them: zero containers and zero VMs do not fit.
+	for _, env := range []EnvSpec{{Kind: platform.KindContainers}, {Kind: platform.KindVMs}} {
+		if env.Check(paper) == nil {
+			t.Errorf("%v fits with zero units", env)
+		}
+	}
+}

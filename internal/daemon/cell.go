@@ -67,8 +67,8 @@ func (s *CellSpec) Validate() error {
 	if err := env.Check(platform.PaperMachine); err != nil {
 		return err
 	}
-	if s.Trial < 0 {
-		return fmt.Errorf("negative trial %d", s.Trial)
+	if s.Trial < 0 || s.Trial >= SweepCellLimit {
+		return fmt.Errorf("trial %d outside [0, %d)", s.Trial, SweepCellLimit)
 	}
 	if s.Fault != "" {
 		if _, ok := fault.Preset(s.Fault); !ok {
@@ -181,17 +181,19 @@ func (d *Daemon) RunCell(ctx context.Context, spec CellSpec) (CellResult, error)
 	cell := p.Cells[spec.Trial] // single env: index == trial
 	res := CellResult{JobKey: cell.JobKey, Seed: cell.Seed}
 
-	cache := d.cfg.Cache
-	var key resultcache.Key
-	if cache != nil {
-		key = p.CacheKey(cell)
+	if cache := d.cfg.Cache; cache != nil {
+		key := p.CacheKey(cell)
 		res.Hash = key.Hash()
 		// Fast path: the cell is already on disk — serve the exact stored
-		// bytes without occupying the pool or taking a lease.
-		if payload, ok := cache.Get(key); ok {
-			res.CacheHit = true
-			res.Payload = payload
-			return res, nil
+		// bytes without occupying the pool or taking a lease. The probe
+		// moves no counter, so a request makes one counted lookup: this
+		// read, or RunCell's after the claim.
+		if cache.Contains(key) {
+			if payload, ok := cache.Get(key); ok {
+				res.CacheHit = true
+				res.Payload = payload
+				return res, nil
+			}
 		}
 		if spec.LeaseMS > 0 {
 			ttl := time.Duration(spec.LeaseMS) * time.Millisecond

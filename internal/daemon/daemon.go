@@ -213,7 +213,7 @@ func (d *Daemon) Metrics() MetricsInfo {
 }
 
 // scale builds the job's experiment scale: the named preset, the seed
-// override, the shared cache, and the shared pool as executor.
+// override, the shared cache, and the shared pool every fan-out runs on.
 func (d *Daemon) scale(spec JobSpec) core.Scale {
 	sc := ScaleFor(spec.Scale, spec.Seed)
 	sc.Cache = d.cfg.Cache
@@ -315,19 +315,7 @@ func (d *Daemon) sweepOptions(j *job) core.SweepOptions {
 
 func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
 	o := d.sweepOptions(j)
-
-	// Per-job cache accounting from the per-cell progress signal — exact
-	// even when concurrent jobs share the store's global counters.
-	var hits, misses int64
-	var cmu sync.Mutex
 	o.Progress = func(p core.SweepProgress) {
-		cmu.Lock()
-		if p.CacheHit {
-			hits++
-		} else {
-			misses++
-		}
-		cmu.Unlock()
 		j.log.Append(EventProgress, map[string]any{
 			"cell": p.Key, "index": p.Index, "total": p.Total, "cache_hit": p.CacheHit,
 		})
@@ -337,21 +325,19 @@ func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
 			})
 		}
 	}
+	p := core.PlanSweep(o)
 
-	// Fast path: a fully warmed sweep is decoded inline from the store —
-	// the runner pool is never touched, so cache-hit jobs cost readers,
-	// not workers.
-	fromCache := false
-	if c, ok := core.SweepCached(o); true {
-		o.Corpus = c
-		if ok {
-			fromCache = true
-			o.Scale.Exec = runner.Inline{Workers: 1}
-			j.log.Append(EventCache, map[string]any{"fully_cached": true})
-		}
+	// Fast path: a fully warmed sweep is decoded from the store on a
+	// one-worker pool of its own — the shared pool is never touched, so
+	// cache-hit jobs cost readers, not workers.
+	fromCache := p.Cached()
+	if fromCache {
+		p.Opts.Scale.Exec = nil
+		p.Opts.Scale.Parallel = 1
+		j.log.Append(EventCache, map[string]any{"fully_cached": true})
 	}
 
-	res, err := core.RunSweep(ctx, o)
+	res, err := p.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +345,7 @@ func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
 		Rendered:  res.Render(),
 		Digest:    res.Digest(),
 		Cells:     len(res.Runs),
-		CacheHits: int(hits), CacheMisses: int(misses),
+		CacheHits: res.Par.CacheHits, CacheMisses: res.Par.CacheMisses,
 		FromCache: fromCache,
 	}, nil
 }

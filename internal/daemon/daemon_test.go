@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"ksa/internal/core"
 	"ksa/internal/daemon"
 	"ksa/internal/resultcache"
+	"ksa/internal/sim"
 )
 
 // newTestServer starts a daemon (with a fresh result cache when cached)
@@ -218,6 +220,36 @@ func TestDaemonCacheFastPathSkipsPool(t *testing.T) {
 	}
 }
 
+// TestWarmSpecializedSweepPlansOnce: a fully warmed sweep job over a
+// specialized environment plans its grid once — one corpus, one profile
+// replay — so it executes exactly the simulation events of one PlanSweep.
+func TestWarmSpecializedSweepPlansOnce(t *testing.T) {
+	_, cl := newTestServer(t, 1, true)
+	spec := daemon.JobSpec{Type: daemon.TypeSweep, Scale: "quick", Envs: []string{"specialized-4"}}
+	submitAndWait(t, cl, spec)
+
+	envs, err := core.ParseEnvSpecs(spec.Envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0 := sim.TotalExecuted()
+	core.PlanSweep(core.SweepOptions{Scale: daemon.ScaleFor("quick", 0), Envs: envs})
+	plan := sim.TotalExecuted() - e0
+	if plan == 0 {
+		t.Fatal("planning a specialized sweep replayed no events")
+	}
+
+	e1 := sim.TotalExecuted()
+	info := submitAndWait(t, cl, spec)
+	events := sim.TotalExecuted() - e1
+	if info.State != daemon.StateDone || !info.Result.FromCache {
+		t.Fatalf("warm job ended %s (from_cache=%v)", info.State, info.Result != nil && info.Result.FromCache)
+	}
+	if events != plan {
+		t.Fatalf("warm job executed %d simulation events, want one plan's %d", events, plan)
+	}
+}
+
 func TestDaemonCancelMidSweepLeavesResumablePrefix(t *testing.T) {
 	_, cl := newTestServer(t, 1, true)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -370,6 +402,8 @@ func TestRouterErrors(t *testing.T) {
 	check(post(`{"type":"sweep","envs":["native"],"fault":"nope"}`), http.StatusBadRequest) // unknown fault
 	check(post(`{"type":"sweep","envs":["native"],"scale":"huge"}`), http.StatusBadRequest) // unknown scale
 	check(post(`{"type":"interference","envs":["native"]}`), http.StatusBadRequest)         // envs on interference
+	// A grid at or past the sweep cell limit is refused before planning.
+	check(post(`{"type":"sweep","envs":["native"],"trials":1099511627776}`), http.StatusBadRequest)
 
 	get := func(path string) *http.Response {
 		resp, err := cl.HTTP.Get(base + path)
@@ -406,6 +440,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Type: "interference", Fault: "memstorm"},
 		{Type: "experiment", Exp: "fig3", Scale: "quick", Seed: 42, Priority: 5},
 		{Type: "experiment", Exp: "blame"},
+		{Type: "sweep", Envs: dockerEnvs(64), Trials: 100},
 	}
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
@@ -426,12 +461,32 @@ func TestJobSpecValidate(t *testing.T) {
 		{Type: "interference", Envs: []string{"native"}},
 		{Type: "sweep", Envs: []string{"native"}, Scale: "enormous"},
 		{Type: "sweep", Envs: []string{"native"}, Fault: "gremlins"},
+		{Type: "sweep", Envs: []string{"native"}, Trials: 1 << 40},
+		{Type: "sweep", Envs: dockerEnvs(64), Trials: daemon.SweepCellLimit / 64},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
 	}
+	// The cell boundary bounds the trial index the same way.
+	for trial, ok := range map[int]bool{0: true, daemon.SweepCellLimit - 1: true,
+		daemon.SweepCellLimit: false, 1 << 40: false} {
+		cs := daemon.CellSpec{Env: "native", Trial: trial}
+		if err := cs.Validate(); (err == nil) != ok {
+			t.Errorf("cell trial %d: Validate = %v, want accepted=%v", trial, err, ok)
+		}
+	}
+}
+
+// dockerEnvs returns n distinct container environments, docker-1 …
+// docker-n.
+func dockerEnvs(n int) []string {
+	envs := make([]string, n)
+	for i := range envs {
+		envs[i] = fmt.Sprintf("docker-%d", i+1)
+	}
+	return envs
 }
 
 func TestDaemonMetricsShape(t *testing.T) {

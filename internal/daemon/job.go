@@ -18,6 +18,13 @@ const (
 	TypeExperiment   = "experiment"
 )
 
+// SweepCellLimit bounds the grids ksad plans: a sweep job's envs × trials
+// and a cell's trial index must stay below it. PlanSweep lists every cell
+// up front, so an unbounded count would let one request exhaust the
+// daemon's memory; the limit still admits grids far beyond the 64-env ×
+// 100-trial sweeps the distributed chaos test drives.
+const SweepCellLimit = 1 << 16
+
 // JobSpec is the wire form of a job submission (POST /v1/jobs).
 type JobSpec struct {
 	// Type selects the job kind: "sweep" (environment × trial varbench
@@ -79,6 +86,10 @@ func (s *JobSpec) Validate() error {
 				return err
 			}
 		}
+		if trials := max(s.Trials, 1); trials >= SweepCellLimit || len(envs)*trials >= SweepCellLimit {
+			return fmt.Errorf("%d envs × %d trials reach the %d-cell sweep limit",
+				len(envs), trials, SweepCellLimit)
+		}
 	case TypeInterference:
 		if len(s.Envs) != 0 {
 			return fmt.Errorf("interference jobs take no envs (the ablation grid is fixed)")
@@ -126,7 +137,9 @@ type Result struct {
 	Digest string `json:"digest,omitempty"`
 	// Cells is how many grid cells the job comprised (sweeps).
 	Cells int `json:"cells,omitempty"`
-	// CacheHits/CacheMisses are the job's result-store accounting.
+	// CacheHits/CacheMisses are the job's result-store accounting,
+	// counted from its own cells' lookups, so they stay exact while other
+	// jobs share the store. Both are zero when no cell consults it.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// FromCache reports the fast path: every cell was served from the

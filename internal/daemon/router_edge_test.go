@@ -197,6 +197,7 @@ func TestRouterCellEndpointEdges(t *testing.T) {
 		{"units do not divide the machine", `{"scale":"quick","env":"kvm-7"}`},
 		{"owner the lease file cannot carry", `{"env":"native","owner":"a\nowner=b","lease_ms":1000}`},
 		{"negative trial", `{"env":"native","trial":-1}`},
+		{"trial past the sweep cell limit", `{"env":"native","trial":1099511627776}`},
 		{"unknown scale", `{"env":"native","scale":"huge"}`},
 		{"unknown fault", `{"env":"native","fault":"gremlins"}`},
 		{"negative lease", `{"env":"native","lease_ms":-5}`},
@@ -267,5 +268,33 @@ func TestCellEndpointLeaseConflict409(t *testing.T) {
 	}
 	if !res2.CacheHit || !bytes.Equal(res2.Payload, res.Payload) {
 		t.Fatalf("completed cell not served from cache (hit=%v)", res2.CacheHit)
+	}
+}
+
+// TestCellEndpointCountsOneLookup: a /v1/cells request is one store
+// lookup — a cold request moves the store's misses by one, a repeat moves
+// its hits by one — so the daemon's cache metrics count cells, not the
+// reads behind them.
+func TestCellEndpointCountsOneLookup(t *testing.T) {
+	cache, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := daemon.New(daemon.Config{Workers: 1, Cache: cache, Logf: t.Logf})
+	defer d.Close()
+	cl := newServerForDaemon(t, d)
+
+	spec := daemon.CellSpec{Scale: "quick", Env: "native"}
+	for _, want := range []resultcache.Stats{{Misses: 1}, {Hits: 1}} {
+		before := cache.Stats()
+		res, err := cl.Cell(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cache.Stats().Sub(before)
+		if got.Hits != want.Hits || got.Misses != want.Misses || res.CacheHit != (want.Hits == 1) {
+			t.Fatalf("request moved the store by %d hits / %d misses (cache_hit=%v), want %d / %d",
+				got.Hits, got.Misses, res.CacheHit, want.Hits, want.Misses)
+		}
 	}
 }

@@ -178,7 +178,7 @@ func (p *Plan) Validate() error {
 
 // Sig returns a short deterministic signature for job keys: the plan name
 // plus a hash of the canonical encoding, so two plans sharing a name but
-// differing in content never collide under runner.Sweep's unique-key rule.
+// differing in content never collide under runner.SweepOn's unique-key rule.
 func (p *Plan) Sig() string {
 	h := fnv.New64a()
 	h.Write([]byte(p.Encode()))

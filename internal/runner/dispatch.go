@@ -60,7 +60,7 @@ func (m DispatchMetrics) String() string {
 // Dispatch returns when every item completed (nil error), when ctx is
 // cancelled mid-run (ctx.Err() — in-flight run calls are not interrupted,
 // matching the pool's drain semantics), when every slot died with items
-// still pending, or when a run aborted. Unlike RunContext, completion
+// still pending, or when a run aborted. Unlike Pool.Do, completion
 // order carries no prefix guarantee: slots of different speeds complete
 // items out of order, and durability across failures comes from the
 // result cache, not from ordering.

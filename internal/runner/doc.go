@@ -12,10 +12,14 @@
 //     adding jobs, or reordering submissions cannot change any job's seed.
 //
 // Under those two rules a sweep at -parallel 8 is bit-identical to the
-// serial one; parallelism only changes wall-clock time. Metrics records
-// per-job wall time and queue wait so the speedup is observable, and —
-// when the orchestration layer runs jobs through the content-addressed
-// result cache — the cache hit/miss and byte counters for the sweep, so
-// cache effectiveness shows up next to the wall/queue accounting it
-// affects.
+// serial one; parallelism only changes wall-clock time. Pool is the one
+// scheduler: a service shares a single pool across concurrent fan-outs,
+// a one-shot run starts one per fan-out. Dispatch is the separate
+// work-queue primitive for remote worker slots, with failover and no
+// prefix guarantee. Metrics records per-job wall time and queue wait so
+// the speedup is observable, and — when the orchestration layer runs jobs
+// through the content-addressed result cache — the hit and miss counts of
+// the fan-out's own cells, which stay exact when other fan-outs share the
+// store, so cache effectiveness shows up next to the wall/queue
+// accounting it affects.
 package runner

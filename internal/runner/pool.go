@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// Pool is a fixed set of worker goroutines shared by many concurrent
-// fan-outs — the execution substrate a long-running service multiplexes
-// client jobs onto. Each Do call enqueues its cells onto one priority
-// queue (higher priority first, FIFO within a priority); workers drain the
-// queue cell by cell, so an 8-cell sweep and a 200-cell sweep submitted
-// together interleave instead of serializing, and a high-priority
-// latency-sensitive job overtakes queued bulk work.
+// Pool is a fixed set of worker goroutines — the one in-process scheduler
+// every fan-out runs on. A long-running service shares one pool across
+// many concurrent fan-outs; a one-shot caller starts a pool sized for a
+// single fan-out and closes it afterwards. Each Do call enqueues its cells
+// onto one priority queue (higher priority first, FIFO within a
+// priority); workers drain the queue cell by cell, so an 8-cell sweep and
+// a 200-cell sweep submitted together interleave instead of serializing,
+// and a high-priority latency-sensitive job overtakes queued bulk work.
 //
 // Cancellation is two-speed by design: when a Do's context is cancelled,
 // its still-queued cells are removed from the queue immediately (they
@@ -238,13 +239,17 @@ func (p *Pool) finishCellLocked(sub *poolSub) {
 	}
 }
 
-// Do implements Executor: enqueue n cells at the given priority and block
-// until every cell has either run or been dropped by cancellation. The
-// cancellation contract matches RunContext: queued cells are removed
-// promptly, in-flight cells drain, and the cells that ran are exactly the
-// prefix [0, Metrics.Completed) (cells of one Do carry consecutive
-// sequence numbers at equal priority, so workers claim them in index
-// order). Returns ctx.Err() when cut short.
+// Do enqueues fn(0), …, fn(n-1) as n cells at the given priority and
+// blocks until every cell has either run or been dropped by cancellation.
+// fn must not share mutable state across cells; writes to distinct
+// elements of a shared results slice are the intended merge pattern. Once
+// ctx is done no further cell is claimed: queued cells are removed
+// promptly, in-flight cells drain — fn is never interrupted mid-cell — and
+// the cells that ran are exactly the prefix [0, Metrics.Completed) (cells
+// of one Do carry consecutive sequence numbers at equal priority, so
+// workers claim them in index order), each bit-identical to what a serial
+// uncancelled run would have produced for that index. Returns ctx.Err()
+// when cut short, nil when every cell ran.
 func (p *Pool) Do(ctx context.Context, priority, n int, fn func(job int)) (Metrics, error) {
 	m := Metrics{
 		Jobs:      n,

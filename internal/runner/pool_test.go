@@ -8,22 +8,16 @@ import (
 	"time"
 )
 
-func TestRunContextCompletesAll(t *testing.T) {
-	var n atomic.Int32
-	m, err := RunContext(context.Background(), 23, 4, func(int) { n.Add(1) })
-	if err != nil {
-		t.Fatalf("uncancelled RunContext returned %v", err)
-	}
-	if n.Load() != 23 || m.Completed != 23 {
-		t.Fatalf("ran %d cells, Completed=%d, want 23", n.Load(), m.Completed)
-	}
-}
-
-func TestRunContextCancelStopsClaimingAndDrains(t *testing.T) {
+// TestPoolCancelStopsClaimingAndDrains: with two workers, a cancel issued
+// from inside the first cell stops further claims, and the cells that ran
+// are exactly the ones Completed reports.
+func TestPoolCancelStopsClaimingAndDrains(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
 	started := make(chan struct{}, 1)
-	m, err := RunContext(ctx, 100, 2, func(i int) {
+	m, err := p.Do(ctx, 0, 100, func(i int) {
 		ran.Add(1)
 		select {
 		case started <- struct{}{}:
@@ -34,7 +28,7 @@ func TestRunContextCancelStopsClaimingAndDrains(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	})
 	if err == nil {
-		t.Fatal("cancelled RunContext returned nil error")
+		t.Fatal("cancelled Do returned nil error")
 	}
 	if got := int(ran.Load()); got == 100 {
 		t.Fatal("cancellation did not stop the fan-out")
@@ -43,10 +37,14 @@ func TestRunContextCancelStopsClaimingAndDrains(t *testing.T) {
 	}
 }
 
-func TestRunContextSerialCancelBeforeStart(t *testing.T) {
+// TestPoolCancelBeforeStart: a one-worker pool handed an already
+// cancelled context runs nothing.
+func TestPoolCancelBeforeStart(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := RunContext(ctx, 10, 1, func(int) { t.Fatal("cell ran after cancel") })
+	m, err := p.Do(ctx, 0, 10, func(int) { t.Error("cell ran after cancel") })
 	if err == nil || m.Completed != 0 {
 		t.Fatalf("pre-cancelled run: err=%v completed=%d", err, m.Completed)
 	}
@@ -203,10 +201,11 @@ func TestPoolCancelDropsQueuedDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestSweepOnPoolBitIdenticalToInline: the same sweep on a shared pool and
-// on the classic inline fan-out must produce identical results — the
-// executor is invisible to the determinism contract.
-func TestSweepOnPoolBitIdenticalToInline(t *testing.T) {
+// TestSweepOnBitIdenticalAcrossPoolSizes: the same sweep on a one-worker
+// pool (the serial baseline) and on a shared eight-worker pool at another
+// priority must produce identical results — the pool is invisible to the
+// determinism contract.
+func TestSweepOnBitIdenticalAcrossPoolSizes(t *testing.T) {
 	jobs := func() []Job[uint64] {
 		var js []Job[uint64]
 		for i := 0; i < 40; i++ {
@@ -217,7 +216,7 @@ func TestSweepOnPoolBitIdenticalToInline(t *testing.T) {
 		}
 		return js
 	}
-	serial, _ := Sweep(99, 1, jobs())
+	serial := sweep(99, 1, jobs())
 	p := NewPool(8)
 	defer p.Close()
 	pooled, m, err := SweepOn(context.Background(), p, 3, 99, jobs())

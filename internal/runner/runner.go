@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -73,13 +71,11 @@ type Metrics struct {
 	Completed int
 
 	// Result-cache accounting, filled by orchestrators whose jobs consult
-	// the content-addressed store (internal/resultcache): how many jobs
-	// were served from cache vs simulated, and the payload bytes moved.
-	// All zero for uncached fan-outs.
-	CacheHits         int
-	CacheMisses       int
-	CacheBytesRead    int64
-	CacheBytesWritten int64
+	// the content-addressed store (internal/resultcache) from their own
+	// cells' hit flags: how many store lookups were served and how many
+	// missed and simulated. All zero for uncached fan-outs.
+	CacheHits   int
+	CacheMisses int
 }
 
 // Busy is the summed per-job execution time — the serial-equivalent cost.
@@ -123,120 +119,13 @@ func (m Metrics) String() string {
 		m.Speedup(), m.MaxQueueWait().Round(time.Millisecond), cache)
 }
 
-// Run executes fn(0), …, fn(n-1) on up to workers goroutines (0 =
-// GOMAXPROCS) and returns when all have completed. fn must not share
-// mutable state across jobs; writes to distinct elements of a shared
-// results slice are the intended merge pattern. With workers <= 1 the jobs
-// run inline on the calling goroutine — the serial baseline is the same
-// code path, not a special case.
-func Run(n, workers int, fn func(job int)) Metrics {
-	m, _ := RunContext(context.Background(), n, workers, fn)
-	return m
-}
-
-// RunContext is Run with cancellation. Workers claim jobs in index order;
-// once ctx is done no new job is claimed (queued jobs are abandoned
-// promptly) but every claimed job drains to completion — fn is never
-// interrupted mid-cell. The jobs that did run are therefore exactly the
-// prefix [0, Metrics.Completed), each bit-identical to what a serial
-// uncancelled run would have produced for that index. Returns ctx.Err()
-// when the fan-out was cut short, nil when every job ran.
-func RunContext(ctx context.Context, n, workers int, fn func(job int)) (Metrics, error) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	m := Metrics{
-		Jobs:      n,
-		Workers:   w,
-		JobWall:   make([]time.Duration, n),
-		QueueWait: make([]time.Duration, n),
-	}
-	if n == 0 {
-		return m, ctx.Err()
-	}
-	start := time.Now()
-	if w <= 1 {
-		m.Workers = 1
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				m.Wall = time.Since(start)
-				return m, ctx.Err()
-			}
-			m.QueueWait[i] = time.Since(start)
-			t0 := time.Now()
-			fn(i)
-			m.JobWall[i] = time.Since(t0)
-			m.Completed = i + 1
-		}
-		m.Wall = time.Since(start)
-		return m, nil
-	}
-	var next, completed atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				m.QueueWait[i] = time.Since(start)
-				t0 := time.Now()
-				fn(i)
-				m.JobWall[i] = time.Since(t0)
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	m.Completed = int(completed.Load())
-	m.Wall = time.Since(start)
-	return m, ctx.Err()
-}
-
-// Map executes fn for each job index and returns the results in job order
-// (never completion order).
-func Map[T any](n, workers int, fn func(job int) T) ([]T, Metrics) {
+// MapOn runs fn for each job index on pool at priority and returns the
+// results in job order, never completion order. On cancellation the
+// returned error is non-nil and only the completed prefix of out holds
+// results — the rest are zero values.
+func MapOn[T any](ctx context.Context, pool *Pool, priority, n int, fn func(job int) T) ([]T, Metrics, error) {
 	out := make([]T, n)
-	m := Run(n, workers, func(i int) {
-		out[i] = fn(i)
-	})
-	return out, m
-}
-
-// Executor abstracts where a fan-out's jobs execute: Inline spins up
-// ephemeral goroutines per call (the classic Run), while a shared Pool
-// multiplexes many concurrent fan-outs onto one fixed set of workers.
-// priority orders jobs across concurrent fan-outs on executors that share
-// workers (higher runs first); Inline ignores it.
-type Executor interface {
-	Do(ctx context.Context, priority, n int, fn func(job int)) (Metrics, error)
-}
-
-// Inline is the ephemeral-goroutine Executor: each Do is an independent
-// RunContext fan-out on up to Workers goroutines (0 = GOMAXPROCS).
-type Inline struct {
-	Workers int
-}
-
-// Do implements Executor.
-func (e Inline) Do(ctx context.Context, _ /* priority */, n int, fn func(job int)) (Metrics, error) {
-	return RunContext(ctx, n, e.Workers, fn)
-}
-
-// MapOn is Map on an arbitrary Executor: results land at their job index
-// regardless of completion order. On cancellation the returned error is
-// non-nil and only the completed prefix of out holds results — the rest
-// are zero values.
-func MapOn[T any](ctx context.Context, ex Executor, priority, n int, fn func(job int) T) ([]T, Metrics, error) {
-	out := make([]T, n)
-	m, err := ex.Do(ctx, priority, n, func(i int) {
+	m, err := pool.Do(ctx, priority, n, func(i int) {
 		out[i] = fn(i)
 	})
 	return out, m, err

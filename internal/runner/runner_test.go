@@ -1,15 +1,25 @@
 package runner
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// poolRun is one fan-out on a pool of workers goroutines started for it —
+// the shape every one-shot caller uses.
+func poolRun(workers, n int, fn func(job int)) Metrics {
+	p := NewPool(workers)
+	defer p.Close()
+	m, _ := p.Do(context.Background(), 0, n, fn)
+	return m
+}
+
 func TestRunExecutesEveryJobOnce(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 8, 100} {
 		counts := make([]int32, 37)
-		m := Run(len(counts), w, func(i int) {
+		m := poolRun(w, len(counts), func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
@@ -17,8 +27,8 @@ func TestRunExecutesEveryJobOnce(t *testing.T) {
 				t.Fatalf("workers=%d: job %d ran %d times", w, i, c)
 			}
 		}
-		if m.Jobs != len(counts) {
-			t.Fatalf("workers=%d: metrics report %d jobs", w, m.Jobs)
+		if m.Jobs != len(counts) || m.Completed != len(counts) {
+			t.Fatalf("workers=%d: metrics report %d jobs, %d completed", w, m.Jobs, m.Completed)
 		}
 		if m.Workers < 1 || m.Workers > len(counts) {
 			t.Fatalf("workers=%d resolved to %d", w, m.Workers)
@@ -27,7 +37,7 @@ func TestRunExecutesEveryJobOnce(t *testing.T) {
 }
 
 func TestRunZeroJobs(t *testing.T) {
-	m := Run(0, 8, func(int) { t.Fatal("job ran") })
+	m := poolRun(8, 0, func(int) { t.Error("job ran") })
 	if m.Jobs != 0 || m.Wall != 0 {
 		t.Fatalf("unexpected metrics for empty fan-out: %+v", m)
 	}
@@ -40,10 +50,15 @@ func TestMapOrdersResultsByJobNotCompletion(t *testing.T) {
 	// Early jobs sleep longest, so completion order is roughly reversed;
 	// results must still land at their job index.
 	n := 16
-	out, _ := Map(n, 8, func(i int) int {
+	p := NewPool(8)
+	defer p.Close()
+	out, _, err := MapOn(context.Background(), p, 0, n, func(i int) int {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
 		return i * i
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("result %d = %d, want %d", i, v, i*i)
@@ -52,7 +67,7 @@ func TestMapOrdersResultsByJobNotCompletion(t *testing.T) {
 }
 
 func TestMetricsAccounting(t *testing.T) {
-	m := Run(4, 2, func(i int) { time.Sleep(5 * time.Millisecond) })
+	m := poolRun(2, 4, func(i int) { time.Sleep(5 * time.Millisecond) })
 	if len(m.JobWall) != 4 || len(m.QueueWait) != 4 {
 		t.Fatalf("per-job metrics missing: %+v", m)
 	}
@@ -113,6 +128,14 @@ func TestDeriveSeedGolden(t *testing.T) {
 	}
 }
 
+// sweep runs jobs on a pool of workers goroutines started for the call.
+func sweep[T any](root uint64, workers int, jobs []Job[T]) []T {
+	p := NewPool(workers)
+	defer p.Close()
+	out, _, _ := SweepOn(context.Background(), p, 0, root, jobs)
+	return out
+}
+
 func TestSweepOrderAndSeedInvariance(t *testing.T) {
 	type res struct {
 		key  string
@@ -121,13 +144,12 @@ func TestSweepOrderAndSeedInvariance(t *testing.T) {
 	mkJobs := func(keys []string) []Job[res] {
 		jobs := make([]Job[res], len(keys))
 		for i, k := range keys {
-			k := k
 			jobs[i] = Job[res]{Key: k, Run: func(seed uint64) res { return res{k, seed} }}
 		}
 		return jobs
 	}
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	base, _ := Sweep(7, 1, mkJobs(keys))
+	base := sweep(7, 1, mkJobs(keys))
 	byKey := map[string]uint64{}
 	for i, r := range base {
 		if r.key != keys[i] {
@@ -140,7 +162,7 @@ func TestSweepOrderAndSeedInvariance(t *testing.T) {
 	for i, k := range keys {
 		rev[len(keys)-1-i] = k
 	}
-	shuffled, _ := Sweep(7, 8, mkJobs(rev))
+	shuffled := sweep(7, 8, mkJobs(rev))
 	for i, r := range shuffled {
 		if r.key != rev[i] {
 			t.Fatalf("shuffled result %d is %q, want %q", i, r.key, rev[i])
@@ -150,8 +172,7 @@ func TestSweepOrderAndSeedInvariance(t *testing.T) {
 		}
 	}
 	// A subset sweep: dropping jobs cannot change surviving jobs' seeds.
-	sub, _ := Sweep(7, 2, mkJobs(keys[2:5]))
-	for _, r := range sub {
+	for _, r := range sweep(7, 2, mkJobs(keys[2:5])) {
 		if r.seed != byKey[r.key] {
 			t.Fatalf("key %q seed changed when other jobs were dropped", r.key)
 		}
@@ -164,7 +185,7 @@ func TestSweepDuplicateKeyPanics(t *testing.T) {
 			t.Fatal("duplicate key did not panic")
 		}
 	}()
-	Sweep(1, 1, []Job[int]{
+	sweep(1, 1, []Job[int]{
 		{Key: "same", Run: func(uint64) int { return 0 }},
 		{Key: "same", Run: func(uint64) int { return 0 }},
 	})

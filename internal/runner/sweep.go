@@ -14,24 +14,17 @@ type Job[T any] struct {
 	Run func(seed uint64) T
 }
 
-// Sweep executes the jobs on up to workers goroutines and returns their
-// results in job-list order. Each job runs with DeriveSeed(root, job.Key),
-// so no job's randomness depends on worker count, completion order, or the
-// presence of other jobs. Duplicate keys panic: two jobs with the same key
-// would share a seed by construction, which is always a caller bug.
-func Sweep[T any](root uint64, workers int, jobs []Job[T]) ([]T, Metrics) {
-	out, m, _ := SweepOn(context.Background(), Inline{Workers: workers}, 0, root, jobs)
-	return out, m
-}
-
-// SweepOn is Sweep on an arbitrary Executor — the entry point shared
-// services use to multiplex many concurrent sweeps onto one worker pool
-// with per-sweep priorities. On cancellation only the completed prefix of
-// the results is populated; because each cell's seed is derived from its
-// key alone, that prefix is byte-identical to the same cells of an
-// uncancelled serial run, and a rerun resumes cleanly from whatever a
-// result cache retained.
-func SweepOn[T any](ctx context.Context, ex Executor, priority int, root uint64, jobs []Job[T]) ([]T, Metrics, error) {
+// SweepOn executes the jobs on pool at priority and returns their results
+// in job-list order. Each job runs with DeriveSeed(root, job.Key), so no
+// job's randomness depends on the pool's size, completion order, or the
+// presence of other jobs — many concurrent sweeps can share one pool.
+// Duplicate keys panic: two jobs with the same key would share a seed by
+// construction, which is always a caller bug. On cancellation only the
+// completed prefix of the results is populated; because each cell's seed
+// is derived from its key alone, that prefix is byte-identical to the
+// same cells of an uncancelled serial run, and a rerun resumes cleanly
+// from whatever a result cache retained.
+func SweepOn[T any](ctx context.Context, pool *Pool, priority int, root uint64, jobs []Job[T]) ([]T, Metrics, error) {
 	seen := make(map[string]int, len(jobs))
 	for i, j := range jobs {
 		if prev, dup := seen[j.Key]; dup {
@@ -39,7 +32,7 @@ func SweepOn[T any](ctx context.Context, ex Executor, priority int, root uint64,
 		}
 		seen[j.Key] = i
 	}
-	return MapOn(ctx, ex, priority, len(jobs), func(i int) T {
+	return MapOn(ctx, pool, priority, len(jobs), func(i int) T {
 		return jobs[i].Run(DeriveSeed(root, jobs[i].Key))
 	})
 }

@@ -286,25 +286,9 @@ var (
 	RunFigure3 = core.RunFigure3
 	// RunFigure4 reproduces Figure 4 (64-node cluster runtimes).
 	RunFigure4 = core.RunFigure4
-	// RunLightVMExtension evaluates Firecracker/Kata-class lightweight VMs
-	// against Docker and KVM — the future work the paper's §2 names.
-	RunLightVMExtension = core.RunLightVMExtension
-	// RunAblation quantifies each interference mechanism's contribution to
-	// the shared kernel's tails.
-	RunAblation = core.RunAblation
-	// RunInterference doses one fault plan across surface-area partitions
-	// and reports p50/p99/max amplification per environment.
-	RunInterference = core.RunInterference
 	// RunDensity sweeps the high-density serverless scenario: Poisson
 	// cold-start churn of ephemeral tenants per isolation surface.
 	RunDensity = core.RunDensity
-	// RunSpecialize runs the profile-guided specialization experiment:
-	// profile the corpus, generate per-tenant reduced kernels, prove the
-	// reduction sound, and compare against the full-surface environments.
-	RunSpecialize = core.RunSpecialize
-	// RunIsolation measures cross-tenant lock contention across the
-	// surface-area grid and derives each environment's isolation score.
-	RunIsolation = core.RunIsolation
 	// RunBlame deploys the corpus on one environment with tracing enabled
 	// and returns per-site blame attribution alongside the latency
 	// distributions (cmd/ksatrace's engine).
