@@ -67,6 +67,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q\n", *envKind)
 		os.Exit(2)
 	}
+	if *threshold <= 0 {
+		fmt.Fprintln(os.Stderr, "ksatrace: -threshold must be positive")
+		os.Exit(2)
+	}
+	if *top < 0 {
+		fmt.Fprintln(os.Stderr, "ksatrace: -top must be >= 0")
+		os.Exit(2)
+	}
 	env := ksa.EnvSpec{Kind: kind, Units: *units}
 	if err := env.Check(ksa.PaperMachine); err != nil {
 		fmt.Fprintln(os.Stderr, "ksatrace:", err)

@@ -75,9 +75,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "varbench: -seed 0 is reserved as the 'unset' sentinel across the ksa tools; pass a nonzero seed")
 		os.Exit(2)
 	}
-	if *trials < 1 {
-		fmt.Fprintln(os.Stderr, "varbench: -trials must be >= 1")
-		os.Exit(2)
+	for _, f := range []struct {
+		name string
+		v    int
+		min  int
+	}{{"iters", *iters, 0}, {"warmup", *warmup, 0}, {"trials", *trials, 1}, {"parallel", *parallel, 0}} {
+		if f.v < f.min {
+			fmt.Fprintf(os.Stderr, "varbench: -%s must be >= %d\n", f.name, f.min)
+			os.Exit(2)
+		}
 	}
 	// The flag's zero is explicit (the default is 20), so it maps to the
 	// library's literal-zero sentinel rather than "use the default".

@@ -61,15 +61,13 @@ func RenderBlame(res *varbench.Result, top int) string {
 	if len(res.Tracers) == 0 {
 		return "no tracers attached (run with Options.Trace set)\n"
 	}
-	var events, drops, tasks, outliers uint64
+	var tasks, outliers uint64
 	for _, tr := range res.Tracers {
-		events += tr.EventCount()
-		drops += tr.Drops()
 		tasks += tr.Tasks()
 		outliers += tr.Outliers()
 	}
-	fmt.Fprintf(&sb, "%d kernels traced: %d events (%d dropped), %d tasks, %d outliers >= %v\n\n",
-		len(res.Tracers), events, drops, tasks, outliers, res.Tracers[0].Options().Threshold)
+	fmt.Fprintf(&sb, "%d kernels traced: %d tasks, %d outliers >= %v\n\n",
+		len(res.Tracers), tasks, outliers, res.Tracers[0].Options().Threshold)
 
 	recs := res.BlameRecords()
 	sb.WriteString(report.TopBlamedTable("top blamed structures (all outliers pooled)",

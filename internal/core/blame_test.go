@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
+	"ksa/internal/kernel"
 	"ksa/internal/platform"
 	"ksa/internal/syscalls"
 	"ksa/internal/trace"
@@ -39,7 +41,7 @@ func TestBlameAttributionOnSeedCorpus(t *testing.T) {
 			fsJournal++
 		}
 		if cats[s].Has(syscalls.CatMem) &&
-			(rec.Cause == trace.CauseIPI || rec.Cause == trace.StealCause(trace.StealIPIHandler)) {
+			(rec.Cause == trace.CauseIPI || rec.Cause == trace.StealCause(kernel.StealIPIHandler)) {
 			mmIPI++
 		}
 	}
@@ -89,4 +91,21 @@ func TestBlameCSV(t *testing.T) {
 	if len(lines)-1 < nRecs {
 		t.Fatalf("%d CSV rows for %d records (need >= one row per record)", len(lines)-1, nRecs)
 	}
+}
+
+// A traced run keeps what the blame report reads — lockstat, blame records
+// and task counts — and nothing per event, so its memory does not grow with
+// the number of kernels traced: a quick kvm-64 run, 64 one-core kernels,
+// allocates well under 100 MiB.
+func TestTracedRunMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	must(RunBlame(context.Background(), QuickScale(), EnvSpec{Kind: platform.KindVMs, Units: 64}, 0))
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if mib >= 100 {
+		t.Fatalf("traced kvm-64 quick run allocated %.0f MiB, want under 100", mib)
+	}
+	t.Logf("traced kvm-64 quick run allocated %.1f MiB", mib)
 }

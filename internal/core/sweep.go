@@ -191,10 +191,11 @@ type SweepCell struct {
 
 // SweepPlan is a sweep grid resolved to its cells plus the shared inputs
 // every cell needs (normalized options, corpus, corpus digest). Planning
-// is cheap and deterministic; it exists so that the in-process sweep, the
-// daemon's worker-mode cell endpoint, and the distributed coordinator all
-// enumerate exactly the same cells with exactly the same keys — the
-// bit-identity contract reduced to sharing one code path.
+// is deterministic; it exists so that the in-process sweep and the
+// daemon's worker-mode cell endpoint run exactly the same cells with
+// exactly the same keys, and the distributed coordinator enumerates them
+// through the same SweepOptions.Cells — the bit-identity contract reduced
+// to sharing one code path.
 type SweepPlan struct {
 	// Opts is the normalized sweep (machine and trials defaulted, corpus
 	// filled in).
@@ -239,25 +240,36 @@ func PlanSweep(o SweepOptions) SweepPlan {
 			break
 		}
 	}
-	p := SweepPlan{Opts: o}
+	p := SweepPlan{Opts: o, Cells: o.Cells()}
 	if p.cache() != nil {
 		p.digest = o.Scale.corpusDigest(o.Corpus)
 	}
+	return p
+}
+
+// Cells enumerates o's grid in job-key order (a Trials of zero or less
+// counts as one) without planning it: no corpus is generated and no
+// environment profiled, so a specialized cell's Env carries whatever
+// Profile o gave it. PlanSweep enumerates through it, which is what lets a
+// coordinator that only routes cells share the plan's keys and seeds.
+func (o SweepOptions) Cells() []SweepCell {
+	trials := max(o.Trials, 1)
 	faultSig := faultSigOf(o.Faults)
+	var cells []SweepCell
 	for _, env := range o.Envs {
 		envKey := env.String()
 		if faultSig != "" {
 			envKey += "/fault=" + faultSig
 		}
-		for t := 0; t < o.Trials; t++ {
+		for t := 0; t < trials; t++ {
 			jobKey := runner.SweepKey(envKey, t)
-			p.Cells = append(p.Cells, SweepCell{
-				Index: len(p.Cells), Env: env, Trial: t, FaultSig: faultSig,
+			cells = append(cells, SweepCell{
+				Index: len(cells), Env: env, Trial: t, FaultSig: faultSig,
 				JobKey: jobKey, Seed: runner.DeriveSeed(o.Scale.Seed, jobKey),
 			})
 		}
 	}
-	return p
+	return cells
 }
 
 // options returns the harness options of the cell seeded with seed: the

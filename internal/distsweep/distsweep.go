@@ -149,12 +149,12 @@ func Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// The local plan supplies the canonical cell enumeration (merge order)
-	// and each cell's expected seed; workers re-derive both from the spec
-	// and the coordinator cross-checks them (a mismatch means the fleet is
-	// not running this grid — abort, do not retry).
-	plan := core.PlanSweep(so)
-	cells := plan.Cells
+	// The grid's cells supply the canonical enumeration (merge order) and
+	// each cell's expected seed; workers re-derive both from the spec and
+	// the coordinator cross-checks them (a mismatch means the fleet is not
+	// running this grid — abort, do not retry). The coordinator never runs
+	// a cell, so it enumerates without planning: no corpus, no profile.
+	cells := so.Cells()
 	o.logf("distsweep: %d cells across %d workers (scale=%s lease=%v)",
 		len(cells), len(o.Workers), o.Spec.Scale, o.LeaseTTL)
 

@@ -15,6 +15,7 @@ import (
 	"ksa/internal/daemon"
 	"ksa/internal/resultcache"
 	"ksa/internal/runner"
+	"ksa/internal/sim"
 )
 
 // newWorker stands up one in-process worker daemon over httptest — the
@@ -226,6 +227,26 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(context.Background(), tc.o); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestCoordinatorDoesNotSimulate: the coordinator enumerates the grid's
+// cells, it never runs them. A grid with a specialized environment, whose
+// full plan would profile the corpus, executes no simulation event before
+// its first request fails against a dead fleet.
+func TestCoordinatorDoesNotSimulate(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	before := sim.TotalExecuted()
+	_, err := Run(context.Background(), Options{
+		Spec:    Spec{Scale: "quick", Envs: []string{"native", "specialized-8"}},
+		Workers: []string{dead.URL},
+	})
+	if err == nil {
+		t.Fatal("dead fleet returned no error")
+	}
+	if n := sim.TotalExecuted() - before; n != 0 {
+		t.Fatalf("coordinator executed %d simulation events, want 0", n)
 	}
 }
 

@@ -32,16 +32,15 @@ func (rt *Runtime) Stop() { rt.stopped = true }
 // closures are built once at attach; a firing draws samples and schedules
 // engine events but allocates nothing.
 type lockInjector struct {
-	rt      *Runtime
-	k       *kernel.Kernel
-	rng     *rng.Source
-	kindTag int
-	locks   []kernel.LockID
-	sweep   bool // DaemonStorm: hold every lock in order per firing
-	gap     sim.Time
-	minD    float64
-	maxD    float64
-	alpha   float64
+	rt    *Runtime
+	k     *kernel.Kernel
+	rng   *rng.Source
+	locks []kernel.LockID
+	sweep bool // DaemonStorm: hold every lock in order per firing
+	gap   sim.Time
+	minD  float64
+	maxD  float64
+	alpha float64
 
 	cur     int // index into locks of the hold in flight
 	hold    sim.Time
@@ -53,13 +52,12 @@ type lockInjector struct {
 func newLockInjector(rt *Runtime, k *kernel.Kernel, src *rng.Source, inj Injector) *lockInjector {
 	li := &lockInjector{
 		rt: rt, k: k, rng: src,
-		kindTag: int(inj.Kind),
-		locks:   inj.Class.Locks(),
-		sweep:   inj.Kind == DaemonStorm,
-		gap:     inj.Gap,
-		minD:    float64(inj.MinDur),
-		maxD:    float64(inj.MaxDur),
-		alpha:   inj.Alpha,
+		locks: inj.Class.Locks(),
+		sweep: inj.Kind == DaemonStorm,
+		gap:   inj.Gap,
+		minD:  float64(inj.MinDur),
+		maxD:  float64(inj.MaxDur),
+		alpha: inj.Alpha,
 	}
 	li.fire = li.doFire
 	li.granted = li.doGranted
@@ -90,7 +88,7 @@ func (li *lockInjector) doGranted() {
 
 func (li *lockInjector) doRelease() {
 	id := li.locks[li.cur]
-	li.k.RecordInjectedHold(id, li.kindTag, li.hold)
+	li.k.RecordInjectedHold(id, li.hold)
 	li.k.Lock(id).Release()
 	if li.sweep && li.cur+1 < len(li.locks) && li.rt.active() {
 		li.cur++
@@ -113,25 +111,23 @@ func (li *lockInjector) scheduleNext() {
 
 // ipiStorm periodically charges every core of one kernel handler debt.
 type ipiStorm struct {
-	rt      *Runtime
-	k       *kernel.Kernel
-	rng     *rng.Source
-	kindTag int
-	gap     sim.Time
-	minD    float64
-	maxD    float64
-	alpha   float64
-	fire    func()
+	rt    *Runtime
+	k     *kernel.Kernel
+	rng   *rng.Source
+	gap   sim.Time
+	minD  float64
+	maxD  float64
+	alpha float64
+	fire  func()
 }
 
 func newIPIStorm(rt *Runtime, k *kernel.Kernel, src *rng.Source, inj Injector) *ipiStorm {
 	st := &ipiStorm{
 		rt: rt, k: k, rng: src,
-		kindTag: int(inj.Kind),
-		gap:     inj.Gap,
-		minD:    float64(inj.MinDur),
-		maxD:    float64(inj.MaxDur),
-		alpha:   inj.Alpha,
+		gap:   inj.Gap,
+		minD:  float64(inj.MinDur),
+		maxD:  float64(inj.MaxDur),
+		alpha: inj.Alpha,
 	}
 	st.fire = st.doFire
 	return st
@@ -142,7 +138,7 @@ func (st *ipiStorm) doFire() {
 		return
 	}
 	per := sim.Time(st.rng.BoundedPareto(st.minD, st.maxD, st.alpha))
-	st.k.InjectIPIStorm(st.kindTag, per)
+	st.k.InjectIPIStorm(per)
 	gap := sim.Time(st.rng.Exp(float64(st.gap)))
 	if gap < sim.Microsecond {
 		gap = sim.Microsecond

@@ -2,13 +2,15 @@
 // lock graph, the direct isolation metric the interference ablation only
 // observes end to end.
 //
-// A Recorder is attached to every kernel of an environment before work is
-// submitted. The kernel reports three hot-path facts into named Scopes
-// (one per lock family per kernel, plus the IPI bus and block-device
-// queues, which may be shared across kernels): every acquisition
-// (Scope.Touch), every contended grant with its injected-vs-emergent wait
-// split (Scope.Wait), and every completed hold (Scope.Hold). Task
-// completion retains per-tenant wall/wait tuples (Recorder.EndTask).
+// One Recorder spans every kernel of an environment: each kernel observes
+// it through Recorder.KernelObserver, attached before work is submitted.
+// The observer turns the kernel's task events into three hot-path facts on
+// named Scopes (one per lock family per kernel, plus the IPI bus and
+// block-device queues, which may be shared across kernels): every
+// acquisition (Scope.Touch), every contended grant with its
+// injected-vs-emergent wait split (Scope.Wait), and every completed hold
+// (Scope.Hold). Task completion retains per-tenant wall/wait tuples
+// (Recorder.EndTask).
 //
 // From that graph the package derives the per-environment isolation score
 // — the fraction of tail (per-tenant p99-and-above) wall time caused by

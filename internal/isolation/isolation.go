@@ -3,12 +3,9 @@ package isolation
 import (
 	"sort"
 
+	"ksa/internal/kernel"
 	"ksa/internal/sim"
 )
-
-// NoTenant marks events that carry no tenant identity (injected holds,
-// kernel-internal activity).
-const NoTenant = -1
 
 // Scope is one attribution bucket of shared kernel state: a lock family
 // inside one kernel ("vm3/inode[*]"), one kernel's IPI bus, or a
@@ -37,8 +34,8 @@ type Scope struct {
 	contended uint64
 
 	// Touch tracking for the shared-lock-surface count: first is the first
-	// tenant that ever acquired in this scope (NoTenant before any), multi
-	// reports a second distinct tenant arrived.
+	// tenant that ever acquired in this scope (kernel.NoTenant before any),
+	// multi reports a second distinct tenant arrived.
 	first int
 	multi bool
 
@@ -72,10 +69,10 @@ func (s *Scope) ensureTenants() {
 // hot path.
 func (s *Scope) Touch(tenant int) {
 	s.acquires++
-	if s.multi || tenant == NoTenant {
+	if s.multi || tenant == kernel.NoTenant {
 		return
 	}
-	if s.first == NoTenant {
+	if s.first == kernel.NoTenant {
 		s.first = tenant
 	} else if s.first != tenant {
 		s.multi = true
@@ -90,7 +87,7 @@ func (s *Scope) Touch(tenant int) {
 // another tenant. The per-holder accumulators recorded by Hold distribute
 // that cross wait over holder tenants when matrices are built.
 func (s *Scope) Wait(tenant int, wait, injWait sim.Time) {
-	if wait <= 0 || tenant == NoTenant {
+	if wait <= 0 || tenant == kernel.NoTenant {
 		return
 	}
 	if injWait > wait {
@@ -107,7 +104,7 @@ func (s *Scope) Wait(tenant int, wait, injWait sim.Time) {
 // preemption included — a housekeeping burst landing on the holder extends
 // everyone's attributed cause, exactly as it extends their waits).
 func (s *Scope) Hold(tenant int, d sim.Time) {
-	if d <= 0 || tenant == NoTenant {
+	if d <= 0 || tenant == kernel.NoTenant {
 		return
 	}
 	s.ensureTenants()
@@ -127,8 +124,8 @@ type taskRec struct {
 // Recorder aggregates one environment run's cross-tenant contention: the
 // tenant×lock graph (per-scope wait/hold/cross vectors) plus per-tenant
 // per-task retention the tail-isolation score is computed from. A recorder
-// is attached to every kernel of an environment (kernel.EnableIsolation)
-// before work is submitted; it is single-threaded like the engine.
+// observes every kernel of an environment (KernelObserver) from before work
+// is submitted; it is single-threaded like the engine.
 type Recorder struct {
 	numTenants int
 	scopes     map[string]*Scope
@@ -157,7 +154,7 @@ func (r *Recorder) Scope(name, family string) *Scope {
 	if s, ok := r.scopes[name]; ok {
 		return s
 	}
-	s := &Scope{name: name, family: family, first: NoTenant, rec: r}
+	s := &Scope{name: name, family: family, first: kernel.NoTenant, rec: r}
 	r.scopes[name] = s
 	r.order = append(r.order, name)
 	return s
@@ -283,8 +280,8 @@ type FamilyAgg struct {
 	SharedScopes     int
 	// Top cross-tenant edge of the family's wait matrix: waiter tenant
 	// From lost Edge of wait to holder tenant To (proportional
-	// attribution; see Matrix). From/To are NoTenant when the family has
-	// no cross wait.
+	// attribution; see Matrix). From/To are kernel.NoTenant when the family
+	// has no cross wait.
 	From, To int
 	Edge     sim.Time
 }
@@ -303,7 +300,7 @@ func (r *Recorder) Families() []FamilyAgg {
 		}
 		fa, ok := byFam[s.family]
 		if !ok {
-			fa = &FamilyAgg{Family: s.family, From: NoTenant, To: NoTenant}
+			fa = &FamilyAgg{Family: s.family, From: kernel.NoTenant, To: kernel.NoTenant}
 			byFam[s.family] = fa
 			waiters[s.family] = map[int]bool{}
 			holders[s.family] = map[int]bool{}
@@ -351,7 +348,7 @@ func (r *Recorder) Families() []FamilyAgg {
 
 // topEdge returns the scope's largest proportional cross-wait edge.
 func (s *Scope) topEdge() (from, to int, edge sim.Time) {
-	from, to = NoTenant, NoTenant
+	from, to = kernel.NoTenant, kernel.NoTenant
 	if s.totalHold == 0 {
 		return
 	}

@@ -1,8 +1,11 @@
 package isolation
 
 import (
+	"fmt"
 	"testing"
 
+	"ksa/internal/kernel"
+	"ksa/internal/rng"
 	"ksa/internal/sim"
 )
 
@@ -113,7 +116,7 @@ func TestWaitClampsInjected(t *testing.T) {
 	s.Touch(0)
 	s.Wait(0, 100, 140) // injected estimate above total: clamp, cross = 0
 	s.Wait(0, 100, 30)  // cross = 70
-	s.Wait(NoTenant, 50, 0)
+	s.Wait(kernel.NoTenant, 50, 0)
 	fams := r.Families()
 	if len(fams) != 1 {
 		t.Fatalf("families = %d, want 1", len(fams))
@@ -202,5 +205,42 @@ func TestEndTaskIgnoresOutOfRange(t *testing.T) {
 	sc := r.ComputeScore()
 	if sc.Value != 0 || sc.TailTasks != 0 {
 		t.Fatal("empty recorder must score zero")
+	}
+}
+
+// A guest's block I/O lands on both queues it passes through: the wait
+// for the shared host queue on the host-blk scope, and the time each
+// queue is held — the kernel's own from its grant through the host round
+// trip — on each.
+func TestKernelObserverBooksHostQueue(t *testing.T) {
+	eng := sim.NewEngine()
+	host := sim.NewSemaphore(eng, "host-blk", 1)
+	r := NewRecorder(2)
+	for tenant := 0; tenant < 2; tenant++ {
+		k := kernel.New(eng, kernel.Config{
+			Name: fmt.Sprintf("vm%d", tenant), Cores: 1, MemGB: 0.5,
+			Params: kernel.Params{Quiet: true},
+			Virt:   &kernel.VirtModel{HostBlockQueue: host, VirtioRelay: 25 * sim.Microsecond},
+		}, rng.New(1))
+		k.Observe(r.KernelObserver(k))
+		var l kernel.OpList
+		l.BlockIO(100 * sim.Microsecond)
+		k.Submit(0, &kernel.Task{Ops: l.Ops(), Tenant: tenant})
+	}
+	eng.Run()
+	per := 125 * sim.Microsecond // service + relay
+	fams := map[string]FamilyAgg{}
+	for _, fa := range r.Families() {
+		fams[fa.Family] = fa
+	}
+	if h := fams["host-blk"]; h.Acquires != 2 || h.Wait != per || h.Cross != per || h.Hold != 2*per {
+		t.Fatalf("host-blk = %+v, want 2 grants, %v of cross wait and %v of holds", h, per, 2*per)
+	}
+	// vm0 holds its queue for one round trip, vm1 for its host wait too.
+	if b := fams["block-device"]; b.Acquires != 2 || b.Wait != 0 || b.Hold != 3*per {
+		t.Fatalf("block-device = %+v, want 2 uncontended grants and %v of holds", b, 3*per)
+	}
+	if sc := r.ComputeScore(); sc.Wait != per || sc.Cross != per || sc.Wall != 3*per {
+		t.Fatalf("score totals = %+v, want wait = cross = %v, wall %v", sc, per, 3*per)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ksa/internal/sim"
-	"ksa/internal/trace"
 )
 
 // step executes the next micro-op of t on core c. The executor is written
@@ -23,13 +22,10 @@ func (k *Kernel) step(c *core, t *Task) {
 	switch op.Kind {
 	case OpCompute:
 		d := k.computeCost(op)
-		if tr := k.tracer; tr != nil {
-			tr.Compute(t.blame, d)
-			if op.Exits > 0 && k.cfg.Virt != nil {
-				tr.VMExit(k.eng.Now(), c.id, op.Exits)
-			}
+		for _, o := range k.obs {
+			o.Compute(c.id, d)
 		}
-		end := k.elapse(c, t, k.eng.Now(), d)
+		end := k.elapse(c, k.eng.Now(), d)
 		k.eng.At(end, t.cont)
 
 	case OpLock:
@@ -43,10 +39,7 @@ func (k *Kernel) step(c *core, t *Task) {
 		t.lockStack = append(t.lockStack, op.Lock)
 		l := &k.locks[op.Lock]
 		reqAt := k.eng.Now()
-		var waiters int
-		if k.tracer != nil {
-			waiters = l.QueueLen()
-		}
+		waiters := l.QueueLen()
 		// Snapshot the injected-hold accumulator at request time; the delta
 		// at grant, clamped to the wait, is the injected share of it.
 		var injSnap sim.Time
@@ -64,23 +57,10 @@ func (k *Kernel) step(c *core, t *Task) {
 				}
 				k.stats.InjLockWait += injWait
 			}
-			if iso := k.iso; iso != nil {
-				s := iso.lockScopes[op.Lock]
-				s.Touch(t.Tenant)
-				if wait > 0 {
-					// The emergent remainder of the wait is cross-tenant by
-					// construction: with one task per tenant, a tenant whose
-					// only task is queued holds nothing itself (DESIGN §15).
-					s.Wait(t.Tenant, wait, injWait)
-					t.isoWait += wait
-					t.isoCross += wait - injWait
-					t.isoInj += injWait
+			if len(k.obs) > 0 {
+				for _, o := range k.obs {
+					o.LockAcquired(c.id, op.Lock, wait, injWait, waiters)
 				}
-			}
-			if tr := k.tracer; tr != nil {
-				tr.LockAcquired(t.blame, k.eng.Now(), c.id, TraceLockName(op.Lock), wait, injWait, waiters)
-			}
-			if k.tracer != nil || k.iso != nil {
 				t.lockAcqAt = append(t.lockAcqAt, k.eng.Now())
 			}
 			k.step(c, t)
@@ -93,16 +73,14 @@ func (k *Kernel) step(c *core, t *Task) {
 		}
 		t.lockStack = t.lockStack[:n-1]
 		k.stats.LockHolds++
-		if (k.tracer != nil || k.iso != nil) && len(t.lockAcqAt) > 0 {
-			last := len(t.lockAcqAt) - 1
-			hold := k.eng.Now() - t.lockAcqAt[last]
-			if tr := k.tracer; tr != nil {
-				tr.LockReleased(k.eng.Now(), c.id, t.Tenant, TraceLockName(op.Lock), hold)
+		// Grant times are kept only while observed, so a non-empty stack
+		// means there is someone to tell.
+		if n := len(t.lockAcqAt); n > 0 {
+			hold := k.eng.Now() - t.lockAcqAt[n-1]
+			t.lockAcqAt = t.lockAcqAt[:n-1]
+			for _, o := range k.obs {
+				o.LockReleased(c.id, op.Lock, hold)
 			}
-			if iso := k.iso; iso != nil {
-				iso.lockScopes[op.Lock].Hold(t.Tenant, hold)
-			}
-			t.lockAcqAt = t.lockAcqAt[:last]
 		}
 		k.locks[op.Lock].Release()
 		k.step(c, t)
@@ -110,7 +88,7 @@ func (k *Kernel) step(c *core, t *Task) {
 	case OpRLock:
 		reqAt := k.eng.Now()
 		t.AddrSpace.RLock(func() {
-			k.mmapGranted(c, t, reqAt)
+			k.mmapGranted(c, reqAt)
 			k.step(c, t)
 		})
 
@@ -121,7 +99,7 @@ func (k *Kernel) step(c *core, t *Task) {
 	case OpWLock:
 		reqAt := k.eng.Now()
 		t.AddrSpace.Lock(func() {
-			k.mmapGranted(c, t, reqAt)
+			k.mmapGranted(c, reqAt)
 			k.step(c, t)
 		})
 
@@ -145,8 +123,8 @@ func (k *Kernel) step(c *core, t *Task) {
 		if wake <= k.eng.Now() {
 			wake = k.eng.Now() + 1
 		}
-		if tr := k.tracer; tr != nil {
-			tr.Sleep(t.blame, k.eng.Now(), c.id, wake-k.eng.Now())
+		for _, o := range k.obs {
+			o.Sleep(c.id, wake-k.eng.Now())
 		}
 		k.eng.At(wake, t.cont)
 
@@ -156,12 +134,12 @@ func (k *Kernel) step(c *core, t *Task) {
 }
 
 // mmapGranted books an address-space semaphore grant: the wait counts
-// toward Stats.LockWait and, when tracing, the mmap_sem pseudo-lock.
-func (k *Kernel) mmapGranted(c *core, t *Task, reqAt sim.Time) {
+// toward Stats.LockWait and is reported to the observers.
+func (k *Kernel) mmapGranted(c *core, reqAt sim.Time) {
 	wait := k.eng.Now() - reqAt
 	k.stats.LockWait += wait
-	if tr := k.tracer; tr != nil {
-		tr.MMapWait(t.blame, k.eng.Now(), c.id, wait)
+	for _, o := range k.obs {
+		o.MMapWait(c.id, wait)
 	}
 }
 
@@ -230,10 +208,10 @@ func (k *Kernel) runIPI(c *core, t *Task, op Op) {
 	if targets == 0 {
 		// Local flush only.
 		cost := k.par.IPIBase / 2
-		if tr := k.tracer; tr != nil {
-			tr.IPI(t.blame, k.eng.Now(), c.id, 0, 0, cost)
+		for _, o := range k.obs {
+			o.IPI(c.id, 0, 0, cost)
 		}
-		end := k.elapse(c, t, k.eng.Now(), cost)
+		end := k.elapse(c, k.eng.Now(), cost)
 		k.eng.At(end, t.cont)
 		return
 	}
@@ -246,38 +224,27 @@ func (k *Kernel) runIPI(c *core, t *Task, op Op) {
 			exits := op.Exits * targets
 			cost += sim.Time(exits) * v.ExitCost
 			k.stats.VMExits += uint64(exits)
-			if tr := k.tracer; tr != nil {
-				tr.VMExit(k.eng.Now(), c.id, exits)
-			}
 		}
 		k.stats.IPITargets += uint64(targets)
-		if iso := k.iso; iso != nil {
-			iso.ipi.Touch(t.Tenant)
-			if busWait := grantAt - reqAt; busWait > 0 {
-				iso.ipi.Wait(t.Tenant, busWait, 0)
-				t.isoWait += busWait
-				t.isoCross += busWait
-			}
-		}
-		if tr := k.tracer; tr != nil {
-			tr.IPI(t.blame, k.eng.Now(), c.id, targets, grantAt-reqAt, cost)
+		for _, o := range k.obs {
+			o.IPI(c.id, targets, grantAt-reqAt, cost)
 		}
 		// Only the dispatch path holds the shared bus; waiting for the
 		// remaining acks overlaps with other senders.
 		busHold := k.par.IPIBase + sim.Time(float64(cost-k.par.IPIBase)*k.par.IPIBusOverlap)
-		busEnd := k.elapse(c, t, k.eng.Now(), busHold)
+		busEnd := k.elapse(c, k.eng.Now(), busHold)
 		k.eng.At(busEnd, func() {
 			for _, other := range k.cores {
 				if other != c {
 					other.pendingSteal += k.par.IPIHandlerCost
 				}
 			}
-			if iso := k.iso; iso != nil {
-				iso.ipi.Hold(t.Tenant, k.eng.Now()-grantAt)
+			for _, o := range k.obs {
+				o.IPIBusReleased(c.id, k.eng.Now()-grantAt)
 			}
 			k.ipiBus.Release()
 			rest := cost - busHold
-			end := k.elapse(c, t, k.eng.Now(), rest)
+			end := k.elapse(c, k.eng.Now(), rest)
 			k.eng.At(end, t.cont)
 		})
 	})
@@ -297,44 +264,17 @@ func (k *Kernel) runBlockIO(c *core, t *Task, op Op) {
 	q := k.blockDev
 	reqAt := k.eng.Now()
 	q.Acquire(func() {
-		grantAt := k.eng.Now()
-		qWait := grantAt - reqAt
-		if iso := k.iso; iso != nil {
-			iso.blk.Touch(t.Tenant)
-			if qWait > 0 {
-				iso.blk.Wait(t.Tenant, qWait, 0)
-				t.isoWait += qWait
-				t.isoCross += qWait
-			}
-		}
+		qWait := k.eng.Now() - reqAt
 		v := k.cfg.Virt
 		if v != nil && v.HostBlockQueue != nil {
 			relay := v.VirtioRelay + sim.Time(op.Exits)*v.ExitCost
 			k.stats.VMExits += uint64(op.Exits)
-			if tr := k.tracer; tr != nil && op.Exits > 0 {
-				tr.VMExit(k.eng.Now(), c.id, op.Exits)
-			}
 			hostReq := k.eng.Now()
 			v.HostBlockQueue.Acquire(func() {
-				hostGrant := k.eng.Now()
-				hostWait := hostGrant - hostReq
-				if iso := k.iso; iso != nil && iso.host != nil {
-					iso.host.Touch(t.Tenant)
-					if hostWait > 0 {
-						iso.host.Wait(t.Tenant, hostWait, 0)
-						t.isoWait += hostWait
-						t.isoCross += hostWait
-					}
-				}
+				hostWait := k.eng.Now() - hostReq
 				k.eng.After(service+relay, func() {
-					if tr := k.tracer; tr != nil {
-						tr.BlockIO(t.blame, k.eng.Now(), c.id, qWait+hostWait, service+relay)
-					}
-					if iso := k.iso; iso != nil {
-						if iso.host != nil {
-							iso.host.Hold(t.Tenant, k.eng.Now()-hostGrant)
-						}
-						iso.blk.Hold(t.Tenant, k.eng.Now()-grantAt)
+					for _, o := range k.obs {
+						o.BlockIO(c.id, qWait, hostWait, service+relay)
 					}
 					v.HostBlockQueue.Release()
 					q.Release()
@@ -344,11 +284,8 @@ func (k *Kernel) runBlockIO(c *core, t *Task, op Op) {
 			return
 		}
 		k.eng.After(service, func() {
-			if tr := k.tracer; tr != nil {
-				tr.BlockIO(t.blame, k.eng.Now(), c.id, qWait, service)
-			}
-			if iso := k.iso; iso != nil {
-				iso.blk.Hold(t.Tenant, k.eng.Now()-grantAt)
+			for _, o := range k.obs {
+				o.BlockIO(c.id, qWait, 0, service)
 			}
 			q.Release()
 			k.step(c, t)
@@ -371,7 +308,7 @@ func (k *Kernel) drawBlockService(c *core) sim.Time {
 // an idle core delays nobody. A burst landing on a lock holder extends the
 // hold and therefore everyone queued behind it: this is the paper's
 // "potentially unbounded software interference" mechanism.
-func (k *Kernel) elapse(c *core, t *Task, start sim.Time, d sim.Time) sim.Time {
+func (k *Kernel) elapse(c *core, start sim.Time, d sim.Time) sim.Time {
 	if d < 0 {
 		d = 0
 	}
@@ -380,8 +317,8 @@ func (k *Kernel) elapse(c *core, t *Task, start sim.Time, d sim.Time) sim.Time {
 	if c.pendingSteal > 0 {
 		end += c.pendingSteal
 		k.stats.NoiseStolen += c.pendingSteal
-		if tr := k.tracer; tr != nil {
-			tr.Steal(t.blame, start, c.id, trace.StealIPIHandler, c.pendingSteal)
+		for _, o := range k.obs {
+			o.Steal(c.id, StealIPIHandler, c.pendingSteal)
 		}
 		c.pendingSteal = 0
 	}
@@ -391,8 +328,8 @@ func (k *Kernel) elapse(c *core, t *Task, start sim.Time, d sim.Time) sim.Time {
 		end += c.pendingInj
 		k.stats.InjBursts++
 		k.stats.InjStolen += c.pendingInj
-		if tr := k.tracer; tr != nil {
-			tr.Steal(t.blame, start, c.id, trace.StealInjIPI, c.pendingInj)
+		for _, o := range k.obs {
+			o.Steal(c.id, StealInjIPI, c.pendingInj)
 		}
 		c.pendingInj = 0
 	}
@@ -437,8 +374,8 @@ func (k *Kernel) elapse(c *core, t *Task, start sim.Time, d sim.Time) sim.Time {
 				k.stats.NoiseBursts++
 				k.stats.NoiseStolen += steal
 			}
-			if tr := k.tracer; tr != nil {
-				tr.Steal(t.blame, ns.next, c.id, ns.kind, steal)
+			for _, o := range k.obs {
+				o.Steal(c.id, ns.kind, steal)
 			}
 			ns.advance(ns.next + ns.len)
 		}
@@ -457,8 +394,8 @@ func (k *Kernel) elapse(c *core, t *Task, start sim.Time, d sim.Time) sim.Time {
 		steal := sim.Time(ticks) * k.par.TickCost
 		end += steal
 		k.stats.TickStolen += steal
-		if tr := k.tracer; tr != nil {
-			tr.Steal(t.blame, start, c.id, trace.StealTick, steal)
+		for _, o := range k.obs {
+			o.Steal(c.id, StealTick, steal)
 		}
 	}
 	return end

@@ -3,10 +3,8 @@ package kernel
 import (
 	"fmt"
 
-	"ksa/internal/isolation"
 	"ksa/internal/rng"
 	"ksa/internal/sim"
-	"ksa/internal/trace"
 )
 
 // Kernel is one simulated OS kernel instance managing a set of cores and an
@@ -42,38 +40,16 @@ type Kernel struct {
 	polWindowEnd sim.Time
 	polRate      float64
 
-	// tracer, when non-nil, receives typed events and per-task blame from
-	// the executor's hook sites. Tracing is purely observational; with no
-	// tracer every hook reduces to a nil check.
-	tracer *trace.Tracer
+	// obs are the attached observers (see Observer); every hook site
+	// reports to each of them in one pass.
+	obs []Observer
 
 	// inj, when non-nil, tracks interference injected by internal/fault so
 	// the executor can attribute injected vs emergent wait. With inj nil the
 	// executor follows the exact pre-injection code paths.
 	inj *injectState
 
-	// iso, when non-nil, feeds cross-tenant contention into an
-	// isolation.Recorder shared by every kernel of the environment. Like the
-	// tracer it is purely observational: with iso nil every hook is a nil
-	// check.
-	iso *isoState
-
 	stats Stats
-}
-
-// isoState wires the environment's isolation recorder into the executor's
-// hook sites, with every shared structure resolved to its scope up front
-// so the hot path indexes instead of hashing.
-type isoState struct {
-	rec *isolation.Recorder
-	// lockScopes[id] is lock id's scope — shards resolve to one per-kernel
-	// family scope, matching the tracer's shard collapsing.
-	lockScopes []*isolation.Scope
-	// ipi is this kernel's IPI dispatch bus; blk its block-device queue
-	// (shared across kernels when Config.SharedBlockDev is set, which is
-	// what makes device coupling cross-kernel attributable); host the
-	// hypervisor's block queue (virtualized kernels only, nil otherwise).
-	ipi, blk, host *isolation.Scope
 }
 
 // injectState is per-kernel bookkeeping for the fault-injection subsystem.
@@ -107,8 +83,8 @@ type Stats struct {
 
 	// LockWait totals the time tasks spent queued on kernel locks and
 	// address-space semaphores; LockHolds counts completed kernel lock
-	// holds. Both are maintained unconditionally and match the attached
-	// tracer's lockstat totals exactly when one is present.
+	// holds. Both are maintained unconditionally and match an attached
+	// tracer's lockstat totals exactly.
 	LockWait  sim.Time
 	LockHolds uint64
 
@@ -166,7 +142,7 @@ type noiseStream struct {
 	loadScaled bool
 
 	// kind labels the stream for steal-blame attribution.
-	kind trace.StealKind
+	kind StealKind
 
 	// injected marks streams installed by internal/fault: they dose even
 	// Quiet kernels, and their steal lands in the injection counters.
@@ -224,26 +200,20 @@ type Task struct {
 	// OnDone receives the task's total latency (queue wait included).
 	OnDone func(elapsed sim.Time)
 	// Label identifies the task in trace output (e.g. "p3/c7 openat").
-	// Unused unless a tracer is attached to the kernel.
+	// Only observers read it.
 	Label string
-	// Tenant is the submitting tenant's stable identity, tagged onto trace
-	// events and isolation accounting. The harness assigns one tenant per
-	// machine core; direct kernel users that leave it zero run as tenant 0.
+	// Tenant is the submitting tenant's stable identity, reported to
+	// observers (blame records, isolation accounting). The harness assigns
+	// one tenant per machine core; direct kernel users that leave it zero
+	// run as tenant 0.
 	Tenant int
 
 	opIdx     int
 	start     sim.Time
 	lockStack []LockID
-	blame     *trace.TaskBlame
-	lockAcqAt []sim.Time // grant times of held locks, kept when tracing or isolating
-	// isoWait/isoCross/isoInj accumulate this run's resource wait and its
-	// cross-tenant/injected split for the isolation recorder; reset on
-	// Submit like the rest of the execution state.
-	isoWait  sim.Time
-	isoCross sim.Time
-	isoInj   sim.Time
-	kern     *Kernel
-	core     *core
+	lockAcqAt []sim.Time // grant times of held locks, kept while observed
+	kern      *Kernel
+	core      *core
 	// cont is the reusable "run my next op" continuation, built on first
 	// submission. Ops that merely elapse time schedule it directly, so the
 	// executor allocates no closure per compute/sleep op.
@@ -297,7 +267,7 @@ func New(eng *sim.Engine, cfg Config, src *rng.Source) *Kernel {
 			maxBurst:   k.par.NoiseMaxBurst,
 			alpha:      k.par.NoiseAlpha,
 			loadScaled: true,
-			kind:       trace.StealHousekeeping,
+			kind:       StealHousekeeping,
 		}
 		guest.advance(0)
 		c.noise = []*noiseStream{guest}
@@ -309,7 +279,7 @@ func New(eng *sim.Engine, cfg Config, src *rng.Source) *Kernel {
 				maxBurst:      v.HostNoiseMax,
 				alpha:         v.HostNoiseAlpha,
 				perBurstExtra: v.ExitCost,
-				kind:          trace.StealHostResidency,
+				kind:          StealHostResidency,
 			}
 			if host.alpha == 0 {
 				host.alpha = 2.5
@@ -357,14 +327,6 @@ func (k *Kernel) SyscallMapped(n uint16) bool {
 // syscall (the corpus runner's ENOSYS path calls it).
 func (k *Kernel) RecordUnmappedCall() { k.stats.UnmappedCalls++ }
 
-// SetTracer attaches an event tracer (nil detaches). Attach before
-// submitting work: tasks already in flight only trace from their next hook
-// onward, leaving their blame decompositions partial.
-func (k *Kernel) SetTracer(tr *trace.Tracer) { k.tracer = tr }
-
-// Tracer returns the attached tracer, or nil.
-func (k *Kernel) Tracer() *trace.Tracer { return k.tracer }
-
 // Lock exposes a shared lock for introspection (contention counters).
 func (k *Kernel) Lock(id LockID) *sim.Lock { return &k.locks[id] }
 
@@ -380,61 +342,27 @@ func (k *Kernel) EnableInjection() {
 // InjectionEnabled reports whether EnableInjection has been called.
 func (k *Kernel) InjectionEnabled() bool { return k.inj != nil }
 
-// EnableIsolation attaches the environment's cross-tenant isolation
-// recorder (one Recorder spans every kernel of the environment, so scopes
-// backed by shared structures — a node or host block device — resolve to
-// one bucket). Attach before submitting work; tasks already in flight
-// record from their next hook onward. Pass nil to detach.
-func (k *Kernel) EnableIsolation(rec *isolation.Recorder) {
-	if rec == nil {
-		k.iso = nil
-		return
-	}
-	iso := &isoState{rec: rec}
-	iso.lockScopes = make([]*isolation.Scope, int(lockTotalCount))
-	for id := 0; id < int(lockTotalCount); id++ {
-		fam := TraceLockName(LockID(id))
-		iso.lockScopes[id] = rec.Scope(k.cfg.Name+"/"+fam, fam)
-	}
-	iso.ipi = rec.Scope(k.cfg.Name+"/ipi-bus", "ipi-bus")
-	iso.blk = rec.Scope(k.blockDev.Name(), "block-device")
-	if v := k.cfg.Virt; v != nil && v.HostBlockQueue != nil {
-		iso.host = rec.Scope(v.HostBlockQueue.Name(), "host-blk")
-	}
-	k.iso = iso
-}
-
-// IsolationEnabled reports whether an isolation recorder is attached.
-func (k *Kernel) IsolationEnabled() bool { return k.iso != nil }
-
 // RecordInjectedHold books one completed injected hold of lock id lasting
-// d: it feeds the waiter-attribution accumulator, the Stats counters, and
-// (when tracing) an EvInject event carrying the injector kind. The caller
-// (internal/fault) invokes it at release time.
-func (k *Kernel) RecordInjectedHold(id LockID, kind int, d sim.Time) {
+// d: it feeds the waiter-attribution accumulator and the Stats counters.
+// The caller (internal/fault) invokes it at release time.
+func (k *Kernel) RecordInjectedHold(id LockID, d sim.Time) {
 	if k.inj == nil {
 		panic("kernel: RecordInjectedHold without EnableInjection")
 	}
 	k.inj.lockHoldAccum[id] += d
 	k.stats.InjHolds++
 	k.stats.InjHoldTime += d
-	if tr := k.tracer; tr != nil {
-		tr.InjectedHold(k.eng.Now(), TraceLockName(id), kind, d)
-	}
 }
 
 // InjectIPIStorm charges every core perCore of interrupt-handler debt, the
 // way an injected TLB-shootdown broadcast would; the debt is stolen from
 // each core's next on-CPU work and attributed as injected steal.
-func (k *Kernel) InjectIPIStorm(kind int, perCore sim.Time) {
+func (k *Kernel) InjectIPIStorm(perCore sim.Time) {
 	if perCore <= 0 {
 		return
 	}
 	for _, c := range k.cores {
 		c.pendingInj += perCore
-	}
-	if tr := k.tracer; tr != nil {
-		tr.InjectedHold(k.eng.Now(), "ipi", kind, perCore*sim.Time(len(k.cores)))
 	}
 }
 
@@ -455,7 +383,7 @@ func (k *Kernel) AddJitterStream(src *rng.Source, gapMean, minBurst, maxBurst si
 			minBurst: minBurst,
 			maxBurst: maxBurst,
 			alpha:    alpha,
-			kind:     trace.StealInjJitter,
+			kind:     StealInjJitter,
 			injected: true,
 		}
 		ns.advance(k.eng.Now())
@@ -465,6 +393,15 @@ func (k *Kernel) AddJitterStream(src *rng.Source, gapMean, minBurst, maxBurst si
 
 // BlockDevice exposes the kernel's block device queue for introspection.
 func (k *Kernel) BlockDevice() *sim.Semaphore { return k.blockDev }
+
+// HostBlockDevice returns the host block queue a guest kernel relays its
+// I/O through, or nil when there is none.
+func (k *Kernel) HostBlockDevice() *sim.Semaphore {
+	if v := k.cfg.Virt; v != nil {
+		return v.HostBlockQueue
+	}
+	return nil
+}
 
 // SurfaceArea returns a scalar summary of the kernel surface area used in
 // reports: cores plus memory expressed in GB. The paper treats surface area
@@ -531,7 +468,6 @@ func (k *Kernel) Submit(coreID int, t *Task) {
 	t.core = c
 	t.start = k.eng.Now()
 	t.opIdx = 0
-	t.isoWait, t.isoCross, t.isoInj = 0, 0, 0
 	if t.cont == nil {
 		t.cont = func() { t.kern.step(t.core, t) }
 	}
@@ -549,19 +485,18 @@ func (k *Kernel) Submit(coreID int, t *Task) {
 
 func (k *Kernel) startTask(c *core, t *Task) {
 	k.stats.TasksRun++
-	if tr := k.tracer; tr != nil {
-		now := k.eng.Now()
-		t.blame = tr.BeginTask(now, c.id, t.Tenant, t.Label, t.start, now-t.start)
+	for _, o := range k.obs {
+		o.BeginTask(c.id, t.Tenant, t.Label, t.start, k.eng.Now()-t.start)
 	}
 	overhead := k.par.EntryOverhead
 	if v := k.cfg.Virt; v != nil {
 		overhead += v.PerTaskOverhead
 	}
 	if overhead > 0 {
-		if tr := k.tracer; tr != nil {
-			tr.Compute(t.blame, overhead)
+		for _, o := range k.obs {
+			o.Compute(c.id, overhead)
 		}
-		end := k.elapse(c, t, k.eng.Now(), overhead)
+		end := k.elapse(c, k.eng.Now(), overhead)
 		k.eng.At(end, t.cont)
 		return
 	}
@@ -573,12 +508,8 @@ func (k *Kernel) finishTask(c *core, t *Task) {
 		panic(fmt.Sprintf("kernel %s: task finished holding %d locks", k.cfg.Name, len(t.lockStack)))
 	}
 	elapsed := k.eng.Now() - t.start
-	if tr := k.tracer; tr != nil {
-		tr.EndTask(t.blame, k.eng.Now(), elapsed)
-		t.blame = nil
-	}
-	if iso := k.iso; iso != nil {
-		iso.rec.EndTask(t.Tenant, elapsed, t.isoWait, t.isoCross, t.isoInj)
+	for _, o := range k.obs {
+		o.EndTask(c.id, elapsed)
 	}
 	done := t.OnDone
 	// Start the next queued task before invoking the callback so that a

@@ -3,8 +3,8 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"ksa/internal/kernel"
 	"ksa/internal/sim"
 )
 
@@ -28,7 +28,7 @@ const (
 func LockCause(name string) string { return "lock:" + name }
 
 // StealCause returns the blame-cause label for a steal stream.
-func StealCause(kind StealKind) string { return "steal:" + kind.String() }
+func StealCause(kind kernel.StealKind) string { return "steal:" + kind.String() }
 
 // lockAmount is one lock's accumulated wait within a task.
 type lockAmount struct {
@@ -36,14 +36,16 @@ type lockAmount struct {
 	wait sim.Time
 }
 
-// TaskBlame accumulates one task's wall-time decomposition while it runs.
+// taskBlame accumulates one task's wall-time decomposition while it runs.
 // Tasks touch few distinct locks, so lock waits live in a small slice
 // rather than a map.
-type TaskBlame struct {
+type taskBlame struct {
+	open bool // a task is running and was begun while attached
+
 	Label string
 	Core  int
-	// Tenant is the task's stable tenant identity (int(NoTenant) when the
-	// submitter carries none).
+	// Tenant is the task's stable tenant identity (kernel.NoTenant when
+	// the submitter carries none).
 	Tenant int
 	Start  sim.Time
 
@@ -55,12 +57,12 @@ type TaskBlame struct {
 	// InjLockWait is lock wait attributed to injected holders; injected
 	// CPU steal lands in Steal under its own kinds.
 	InjLockWait sim.Time
-	Steal       [numStealKinds]sim.Time
+	Steal       [kernel.NumStealKinds]sim.Time
 
 	lockWait []lockAmount
 }
 
-func (tb *TaskBlame) addLock(name string, wait sim.Time) {
+func (tb *taskBlame) addLock(name string, wait sim.Time) {
 	if wait <= 0 {
 		return
 	}
@@ -97,8 +99,9 @@ type BlameRecord struct {
 	Parts []Part
 }
 
-// record freezes the accumulator into a BlameRecord.
-func (tb *TaskBlame) record(end, wall sim.Time) BlameRecord {
+// record freezes the accumulator into a BlameRecord for a task that took
+// wall in all.
+func (tb *taskBlame) record(wall sim.Time) BlameRecord {
 	parts := make([]Part, 0, 6+len(tb.lockWait))
 	add := func(cause string, t sim.Time) {
 		if t > 0 {
@@ -112,7 +115,7 @@ func (tb *TaskBlame) record(end, wall sim.Time) BlameRecord {
 	add(CauseSleep, tb.Sleep)
 	add(CauseInjLockHold, tb.InjLockWait)
 	for k, t := range tb.Steal {
-		add(StealCause(StealKind(k)), t)
+		add(StealCause(kernel.StealKind(k)), t)
 	}
 	var accounted sim.Time
 	for _, la := range tb.lockWait {
@@ -133,7 +136,7 @@ func (tb *TaskBlame) record(end, wall sim.Time) BlameRecord {
 	})
 	rec := BlameRecord{
 		Label: tb.Label, Core: tb.Core, Tenant: tb.Tenant, Start: tb.Start,
-		End: end, Wall: wall, Parts: parts,
+		End: tb.Start + wall, Wall: wall, Parts: parts,
 	}
 	if len(parts) > 0 {
 		rec.Cause = parts[0].Cause
@@ -208,18 +211,4 @@ func TotalsOf(recs []BlameRecord) []CauseTotal {
 		return out[i].Cause < out[j].Cause
 	})
 	return out
-}
-
-// CauseTotals aggregates this tracer's records.
-func (tr *Tracer) CauseTotals() []CauseTotal { return TotalsOf(tr.records) }
-
-// Summary is a one-paragraph account of the tracer's activity.
-func (tr *Tracer) Summary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace[%s]: %d events (%d dropped), %d tasks, %d outliers >= %v",
-		tr.kernel, tr.events, tr.drops, tr.tasks, tr.outliers, tr.opts.Threshold)
-	if tr.recordDrops > 0 {
-		fmt.Fprintf(&sb, " (%d records dropped)", tr.recordDrops)
-	}
-	return sb.String()
 }

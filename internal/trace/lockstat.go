@@ -32,6 +32,19 @@ type LockStat struct {
 	Hold stats.LatHist
 }
 
+// grant books one grant that waited wait.
+func (ls *LockStat) grant(wait sim.Time) {
+	ls.Acquires++
+	if wait > 0 {
+		ls.Contended++
+		ls.TotalWait += wait
+		if wait > ls.MaxWait {
+			ls.MaxWait = wait
+		}
+	}
+	ls.Wait.Add(wait.Micros())
+}
+
 // ContentionRate returns the fraction of acquires that waited.
 func (ls *LockStat) ContentionRate() float64 {
 	if ls.Acquires == 0 {

@@ -21,11 +21,6 @@ func BlameRows(totals []CauseTotal) []report.BlameRow {
 	return rows
 }
 
-// LockTable renders this tracer's lockstat aggregates as an aligned table.
-func (tr *Tracer) LockTable() *report.Table {
-	return LockTableOf(fmt.Sprintf("lockstat (%s)", tr.kernel), tr.LockStats())
-}
-
 // LockTableOf renders lock aggregates (one tracer's, or several kernels'
 // pooled via MergeLockStats) as an aligned table.
 func LockTableOf(title string, stats []*LockStat) *report.Table {

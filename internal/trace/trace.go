@@ -1,15 +1,12 @@
 package trace
 
 import (
+	"ksa/internal/kernel"
 	"ksa/internal/sim"
 )
 
 // Options configures a Tracer.
 type Options struct {
-	// BufferCap is the event ring capacity. When full, the oldest events
-	// are overwritten and counted as drops (ftrace overwrite mode).
-	// Default 65536.
-	BufferCap int
 	// Threshold is the wall-time above which a completed task earns a
 	// blame record. Default 1ms — the paper's "unbounded software
 	// interference" territory.
@@ -20,9 +17,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BufferCap == 0 {
-		o.BufferCap = 65536
-	}
 	if o.Threshold == 0 {
 		o.Threshold = sim.Millisecond
 	}
@@ -32,138 +26,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// EventKind discriminates ring-buffer events.
-type EventKind uint8
-
-// Event kinds.
-const (
-	// EvTaskStart marks a task beginning execution on a core (What is the
-	// task label, Dur the CPU queue wait it already paid).
-	EvTaskStart EventKind = iota
-	// EvTaskEnd marks task completion (Dur is total wall time).
-	EvTaskEnd
-	// EvLockAcquire is a kernel lock grant (What names the lock, Dur the
-	// wait, Aux the queue length seen at request time).
-	EvLockAcquire
-	// EvLockRelease is a kernel lock release (Dur is the hold time,
-	// housekeeping preemption of the holder included).
-	EvLockRelease
-	// EvMMapWait is an address-space rw-semaphore wait (Dur).
-	EvMMapWait
-	// EvSteal is CPU stolen from on-CPU work (What names the stream:
-	// housekeeping, host-residency, tick, ipi-handler; Dur the steal).
-	EvSteal
-	// EvIPI is a TLB-shootdown-style broadcast (Aux is the target count,
-	// Dur the sender's bus wait — the dispatch-serialization cost).
-	EvIPI
-	// EvBlockIO is one block-device round trip (Dur is queue wait, Aux the
-	// service time in nanoseconds).
-	EvBlockIO
-	// EvVMExit counts VM exits charged to an op (Aux).
-	EvVMExit
-	// EvSleep is a voluntary off-CPU wait (Dur).
-	EvSleep
-	// EvInject is one completed interference injection (What names the
-	// perturbed resource — a lock for holds, "ipi" for storms; Dur the
-	// injected hold or dispatch time, Aux the injector kind as an opaque
-	// discriminator supplied by internal/fault).
-	EvInject
-)
-
-var eventKindNames = [...]string{
-	EvTaskStart:   "task-start",
-	EvTaskEnd:     "task-end",
-	EvLockAcquire: "lock-acquire",
-	EvLockRelease: "lock-release",
-	EvMMapWait:    "mmap-wait",
-	EvSteal:       "steal",
-	EvIPI:         "ipi",
-	EvBlockIO:     "block-io",
-	EvVMExit:      "vm-exit",
-	EvSleep:       "sleep",
-	EvInject:      "inject",
-}
-
-// String names the kind.
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return "event?"
-}
-
-// Event is one ring-buffer entry. The meaning of What/Dur/Aux depends on
-// Kind (see the kind constants). Tenant is the stable tenant identity of
-// the task the event belongs to (NoTenant for kernel-internal or injected
-// activity with no owning tenant).
-type Event struct {
-	At     sim.Time
-	Kind   EventKind
-	Core   int32
-	Tenant int32
-	What   string
-	Dur    sim.Time
-	Aux    int64
-}
-
-// NoTenant marks events carrying no tenant identity. It mirrors
-// isolation.NoTenant; trace keeps its own constant so the tenant tagging
-// does not depend on the aggregation package.
-const NoTenant int32 = -1
-
-// StealKind names a CPU-steal stream for blame attribution.
-type StealKind uint8
-
-// Steal streams.
-const (
-	// StealHousekeeping is the guest kernel's own writeback/reclaim/RCU
-	// bursts.
-	StealHousekeeping StealKind = iota
-	// StealHostResidency is the host kernel's activity on the pinned pCPU
-	// (virtualized kernels only).
-	StealHostResidency
-	// StealTick is timer-tick accounting work.
-	StealTick
-	// StealIPIHandler is interrupt-handler debt from other cores' IPI/TLB
-	// broadcasts.
-	StealIPIHandler
-	// StealInjJitter is timer-interrupt jitter dosed onto compute slices by
-	// the fault-injection subsystem (internal/fault).
-	StealInjJitter
-	// StealInjIPI is interrupt-handler debt from injected IPI/TLB-shootdown
-	// storms.
-	StealInjIPI
-
-	numStealKinds
-)
-
-var stealNames = [numStealKinds]string{
-	"housekeeping", "host-residency", "tick", "ipi-handler",
-	"injected-jitter", "injected-ipi",
-}
-
-// String names the stream.
-func (s StealKind) String() string {
-	if s < numStealKinds {
-		return stealNames[s]
-	}
-	return "steal?"
-}
-
-// Tracer records one kernel's events and blame. It is attached with
-// kernel.SetTracer and must be attached before any task is submitted.
+// Tracer is a kernel.Observer that aggregates one kernel's lockstat and
+// blame. Attach it with Kernel.Observe before any task is submitted.
 type Tracer struct {
-	opts   Options
-	kernel string
-
-	ring    []Event
-	next    int
-	wrapped bool
-	events  uint64 // total emitted, drops included
-	drops   uint64 // overwritten events
+	opts Options
 
 	locks     map[string]*LockStat
 	lockOrder []string // insertion order, for deterministic iteration
+
+	// cur[c] accumulates the blame of the task running on core c.
+	cur []taskBlame
 
 	tasks       uint64
 	outliers    uint64
@@ -171,41 +43,13 @@ type Tracer struct {
 	recordDrops uint64
 }
 
-// New returns a tracer for the named kernel.
-func New(kernelName string, opts Options) *Tracer {
-	o := opts.withDefaults()
-	return &Tracer{
-		opts:   o,
-		kernel: kernelName,
-		ring:   make([]Event, 0, o.BufferCap),
-		locks:  make(map[string]*LockStat),
-	}
+// New returns a tracer.
+func New(opts Options) *Tracer {
+	return &Tracer{opts: opts.withDefaults(), locks: make(map[string]*LockStat)}
 }
-
-// Kernel returns the name of the kernel this tracer is attached to.
-func (tr *Tracer) Kernel() string { return tr.kernel }
 
 // Options returns the effective configuration.
 func (tr *Tracer) Options() Options { return tr.opts }
-
-// Events returns the buffered events in chronological order. The slice is
-// freshly allocated when the ring has wrapped.
-func (tr *Tracer) Events() []Event {
-	if !tr.wrapped {
-		return tr.ring
-	}
-	out := make([]Event, 0, len(tr.ring))
-	out = append(out, tr.ring[tr.next:]...)
-	out = append(out, tr.ring[:tr.next]...)
-	return out
-}
-
-// EventCount returns the total number of events emitted, dropped ones
-// included.
-func (tr *Tracer) EventCount() uint64 { return tr.events }
-
-// Drops returns how many events were overwritten by ring wraparound.
-func (tr *Tracer) Drops() uint64 { return tr.drops }
 
 // Tasks returns the number of completed tasks observed.
 func (tr *Tracer) Tasks() uint64 { return tr.tasks }
@@ -221,22 +65,6 @@ func (tr *Tracer) Records() []BlameRecord { return tr.records }
 // counted but not retained.
 func (tr *Tracer) RecordDrops() uint64 { return tr.recordDrops }
 
-// emit appends one event, overwriting the oldest when full.
-func (tr *Tracer) emit(ev Event) {
-	tr.events++
-	if len(tr.ring) < cap(tr.ring) {
-		tr.ring = append(tr.ring, ev)
-		return
-	}
-	tr.ring[tr.next] = ev
-	tr.next++
-	if tr.next == len(tr.ring) {
-		tr.next = 0
-	}
-	tr.wrapped = true
-	tr.drops++
-}
-
 // lockStat returns (creating if needed) the named lock's aggregate.
 func (tr *Tracer) lockStat(name string) *LockStat {
 	ls, ok := tr.locks[name]
@@ -248,157 +76,123 @@ func (tr *Tracer) lockStat(name string) *LockStat {
 	return ls
 }
 
-// --- hooks, called by internal/kernel (tracer already known non-nil) ---
-
-// BeginTask opens a per-task blame accumulator. start is the task's submit
-// time (wall time is measured from it), queueWait the CPU queueing already
-// paid before the first instruction, tenant the task's stable tenant
-// identity (NoTenant when the submitter carries none).
-func (tr *Tracer) BeginTask(at sim.Time, core int, tenant int, label string, start, queueWait sim.Time) *TaskBlame {
-	tb := &TaskBlame{Label: label, Core: core, Tenant: tenant, Start: start, QueueWait: queueWait}
-	tr.emit(Event{At: at, Kind: EvTaskStart, Core: int32(core), Tenant: int32(tenant), What: label, Dur: queueWait})
-	return tb
+// task returns the open accumulator of core's task, or nil when no task
+// was begun there (a tracer attached mid-flight): lockstat still
+// aggregates, but the task earns no blame.
+func (tr *Tracer) task(core int) *taskBlame {
+	if core < len(tr.cur) && tr.cur[core].open {
+		return &tr.cur[core]
+	}
+	return nil
 }
 
-// Compute charges on-CPU work to the task (no event: compute is the hot
-// path and carries no shared-structure identity).
-func (tr *Tracer) Compute(tb *TaskBlame, d sim.Time) {
-	if tb != nil {
+// --- kernel.Observer ---
+
+// BeginTask opens core's blame accumulator, reusing the previous task's.
+func (tr *Tracer) BeginTask(core, tenant int, label string, start, queueWait sim.Time) {
+	for len(tr.cur) <= core {
+		tr.cur = append(tr.cur, taskBlame{})
+	}
+	tb := &tr.cur[core]
+	*tb = taskBlame{open: true, Label: label, Core: core, Tenant: tenant, Start: start,
+		QueueWait: queueWait, lockWait: tb.lockWait[:0]}
+}
+
+// Compute charges on-CPU work to the task.
+func (tr *Tracer) Compute(core int, d sim.Time) {
+	if tb := tr.task(core); tb != nil {
 		tb.Compute += d
 	}
 }
 
-// LockAcquired records a kernel lock grant: the wait the task paid and the
-// queue length it saw at request time. injWait is the portion of the wait
-// the kernel attributes to injected lock holds (internal/fault); the blame
-// decomposition separates it from the emergent contention under the
-// "injected:lock-hold" cause, while the lockstat aggregates — which
-// describe the lock's observed reality, whatever the cause — keep the full
-// wait.
-func (tr *Tracer) LockAcquired(tb *TaskBlame, at sim.Time, core int, name string, wait, injWait sim.Time, waiters int) {
+// LockAcquired records a kernel lock grant under the lock's family name.
+// The blame decomposition separates the injected share of the wait
+// (internal/fault) under the "injected:lock-hold" cause, while the
+// lockstat aggregates — which describe the lock's observed reality,
+// whatever the cause — keep the full wait.
+func (tr *Tracer) LockAcquired(core int, id kernel.LockID, wait, injWait sim.Time, waiters int) {
+	name := kernel.TraceLockName(id)
 	ls := tr.lockStat(name)
-	ls.Acquires++
-	if wait > 0 {
-		ls.Contended++
-		ls.TotalWait += wait
-		if wait > ls.MaxWait {
-			ls.MaxWait = wait
-		}
-	}
+	ls.grant(wait)
 	if waiters > ls.MaxWaiters {
 		ls.MaxWaiters = waiters
 	}
-	ls.Wait.Add(wait.Micros())
-	if tb != nil {
+	if tb := tr.task(core); tb != nil {
 		tb.addLock(name, wait-injWait)
 		tb.InjLockWait += injWait
 	}
-	tr.emit(Event{At: at, Kind: EvLockAcquire, Core: int32(core), Tenant: tbTenant(tb), What: name, Dur: wait, Aux: int64(waiters)})
 }
 
-// tbTenant extracts the event tenant tag from a possibly-nil accumulator.
-func tbTenant(tb *TaskBlame) int32 {
-	if tb == nil {
-		return NoTenant
-	}
-	return int32(tb.Tenant)
-}
-
-// InjectedHold records one completed injected lock hold (the injector is
-// not a task, so there is no blame accumulator — victims' waits are
-// attributed via LockAcquired's injWait instead).
-func (tr *Tracer) InjectedHold(at sim.Time, what string, kind int, d sim.Time) {
-	tr.emit(Event{At: at, Kind: EvInject, Core: -1, Tenant: NoTenant, What: what, Dur: d, Aux: int64(kind)})
-}
-
-// LockReleased records a kernel lock release and the hold time (holder
+// LockReleased records a kernel lock release and its hold time (holder
 // preemption included — a housekeeping burst landing on the holder shows
-// up here as an extended hold). tenant is the holder's tenant identity —
-// the hold edge of the tenant×lock contention graph (NoTenant when the
-// holder carries none).
-func (tr *Tracer) LockReleased(at sim.Time, core int, tenant int, name string, hold sim.Time) {
-	ls := tr.lockStat(name)
+// up here as an extended hold).
+func (tr *Tracer) LockReleased(_ int, id kernel.LockID, hold sim.Time) {
+	ls := tr.lockStat(kernel.TraceLockName(id))
 	ls.Holds++
 	ls.TotalHold += hold
 	if hold > ls.MaxHold {
 		ls.MaxHold = hold
 	}
 	ls.Hold.Add(hold.Micros())
-	tr.emit(Event{At: at, Kind: EvLockRelease, Core: int32(core), Tenant: int32(tenant), What: name, Dur: hold})
 }
 
 // MMapWait records an address-space rw-semaphore wait. It aggregates under
 // the pseudo-lock "mmap_sem" (waits only; reader holds overlap and have no
 // single owner).
-func (tr *Tracer) MMapWait(tb *TaskBlame, at sim.Time, core int, wait sim.Time) {
-	ls := tr.lockStat(MMapSemName)
-	ls.Acquires++
-	if wait > 0 {
-		ls.Contended++
-		ls.TotalWait += wait
-		if wait > ls.MaxWait {
-			ls.MaxWait = wait
-		}
-	}
-	ls.Wait.Add(wait.Micros())
-	if tb != nil {
+func (tr *Tracer) MMapWait(core int, wait sim.Time) {
+	tr.lockStat(MMapSemName).grant(wait)
+	if tb := tr.task(core); tb != nil {
 		tb.addLock(MMapSemName, wait)
 	}
-	tr.emit(Event{At: at, Kind: EvMMapWait, Core: int32(core), Tenant: tbTenant(tb), What: MMapSemName, Dur: wait})
 }
 
 // MMapSemName is the pseudo-lock name mmap_sem waits aggregate under.
 const MMapSemName = "mmap_sem"
 
-// Steal records CPU stolen from the task's on-CPU work by the given stream
-// (the burst's victim core is the task's core).
-func (tr *Tracer) Steal(tb *TaskBlame, at sim.Time, core int, kind StealKind, d sim.Time) {
-	if tb != nil {
+// Steal records CPU stolen from the task's on-CPU work by the given stream.
+func (tr *Tracer) Steal(core int, kind kernel.StealKind, d sim.Time) {
+	if tb := tr.task(core); tb != nil {
 		tb.Steal[kind] += d
 	}
-	tr.emit(Event{At: at, Kind: EvSteal, Core: int32(core), Tenant: tbTenant(tb), What: kind.String(), Dur: d})
 }
 
-// IPI records a broadcast the task sent: busWait is the serialization wait
-// on the shared IPI bus, cost the dispatch + ack time the sender pays.
-func (tr *Tracer) IPI(tb *TaskBlame, at sim.Time, core int, targets int, busWait, cost sim.Time) {
-	if tb != nil {
+// IPI records a broadcast the task sent: the bus wait (dispatch
+// serialization) plus the dispatch and ack time it paid.
+func (tr *Tracer) IPI(core, _ int, busWait, cost sim.Time) {
+	if tb := tr.task(core); tb != nil {
 		tb.IPI += busWait + cost
 	}
-	tr.emit(Event{At: at, Kind: EvIPI, Core: int32(core), Tenant: tbTenant(tb), Dur: busWait, Aux: int64(targets)})
 }
 
-// BlockIO records one block-device round trip: wait is queueing (guest
-// plus, under virtualization, host), service the device time plus any
-// virtio relay.
-func (tr *Tracer) BlockIO(tb *TaskBlame, at sim.Time, core int, wait, service sim.Time) {
-	if tb != nil {
-		tb.BlockIO += wait + service
+// IPIBusReleased is part of kernel.Observer; the bus hold is already in
+// the sender's IPI time.
+func (tr *Tracer) IPIBusReleased(int, sim.Time) {}
+
+// BlockIO records one block-device round trip: queueing (guest plus, under
+// virtualization, host) and the device time plus any virtio relay.
+func (tr *Tracer) BlockIO(core int, qWait, hostWait, service sim.Time) {
+	if tb := tr.task(core); tb != nil {
+		tb.BlockIO += qWait + hostWait + service
 	}
-	tr.emit(Event{At: at, Kind: EvBlockIO, Core: int32(core), Tenant: tbTenant(tb), Dur: wait, Aux: int64(service)})
-}
-
-// VMExit counts n VM exits charged at the given core.
-func (tr *Tracer) VMExit(at sim.Time, core int, n int) {
-	tr.emit(Event{At: at, Kind: EvVMExit, Core: int32(core), Tenant: NoTenant, Aux: int64(n)})
 }
 
 // Sleep records a voluntary off-CPU wait (tick-quantized wakeup included).
-func (tr *Tracer) Sleep(tb *TaskBlame, at sim.Time, core int, d sim.Time) {
-	if tb != nil {
+func (tr *Tracer) Sleep(core int, d sim.Time) {
+	if tb := tr.task(core); tb != nil {
 		tb.Sleep += d
 	}
-	tr.emit(Event{At: at, Kind: EvSleep, Core: int32(core), Tenant: tbTenant(tb), Dur: d})
 }
 
 // EndTask closes the task's accounting. Tasks whose wall time meets the
 // threshold become blame records.
-func (tr *Tracer) EndTask(tb *TaskBlame, at sim.Time, wall sim.Time) {
+func (tr *Tracer) EndTask(core int, wall sim.Time) {
 	tr.tasks++
-	if tb != nil {
-		tr.emit(Event{At: at, Kind: EvTaskEnd, Core: int32(tb.Core), Tenant: int32(tb.Tenant), What: tb.Label, Dur: wall})
+	tb := tr.task(core)
+	if tb == nil {
+		return
 	}
-	if tb == nil || wall < tr.opts.Threshold {
+	tb.open = false
+	if wall < tr.opts.Threshold {
 		return
 	}
 	tr.outliers++
@@ -406,5 +200,5 @@ func (tr *Tracer) EndTask(tb *TaskBlame, at sim.Time, wall sim.Time) {
 		tr.recordDrops++
 		return
 	}
-	tr.records = append(tr.records, tb.record(at, wall))
+	tr.records = append(tr.records, tb.record(wall))
 }

@@ -4,42 +4,21 @@ import (
 	"strings"
 	"testing"
 
+	"ksa/internal/kernel"
 	"ksa/internal/sim"
 )
 
 func us(n int) sim.Time { return sim.Time(n) * sim.Microsecond }
 
-func TestRingOverwriteCountsDrops(t *testing.T) {
-	tr := New("k", Options{BufferCap: 4})
-	for i := 0; i < 7; i++ {
-		tr.emit(Event{At: sim.Time(i), Kind: EvSteal})
-	}
-	if tr.EventCount() != 7 {
-		t.Fatalf("EventCount = %d", tr.EventCount())
-	}
-	if tr.Drops() != 3 {
-		t.Fatalf("Drops = %d, want 3", tr.Drops())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("buffered %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := sim.Time(3 + i); ev.At != want {
-			t.Fatalf("event %d at %v, want %v (oldest must be overwritten, order chronological)", i, ev.At, want)
-		}
-	}
-}
-
 func TestBlameRecordDecomposition(t *testing.T) {
-	tr := New("k", Options{Threshold: us(100)})
-	tb := tr.BeginTask(0, 3, 1, "p0/c1 fsync", 0, us(5))
-	tr.Compute(tb, us(10))
-	tr.LockAcquired(tb, us(50), 3, "journal", us(60), 0, 7)
-	tr.LockAcquired(tb, us(55), 3, "journal", us(20), 0, 1) // same lock accumulates
-	tr.IPI(tb, us(60), 3, 63, us(4), us(6))
-	tr.Steal(tb, us(70), 3, StealHousekeeping, us(15))
-	tr.EndTask(tb, us(130), us(130))
+	tr := New(Options{Threshold: us(100)})
+	tr.BeginTask(3, 1, "p0/c1 fsync", 0, us(5))
+	tr.Compute(3, us(10))
+	tr.LockAcquired(3, kernel.LockJournal, us(60), 0, 7)
+	tr.LockAcquired(3, kernel.LockJournal, us(20), 0, 1) // same lock accumulates
+	tr.IPI(3, 63, us(4), us(6))
+	tr.Steal(3, kernel.StealHousekeeping, us(15))
+	tr.EndTask(3, us(130))
 
 	if tr.Tasks() != 1 || tr.Outliers() != 1 {
 		t.Fatalf("tasks=%d outliers=%d", tr.Tasks(), tr.Outliers())
@@ -58,7 +37,7 @@ func TestBlameRecordDecomposition(t *testing.T) {
 	if got := r.PartTime(CauseIPI); got != us(10) {
 		t.Fatalf("ipi part = %v (busWait+cost)", got)
 	}
-	if got := r.PartTime(StealCause(StealHousekeeping)); got != us(15) {
+	if got := r.PartTime(StealCause(kernel.StealHousekeeping)); got != us(15) {
 		t.Fatalf("steal part = %v", got)
 	}
 	// 5 queue + 10 compute + 80 lock + 10 ipi + 15 steal = 120; residual 10.
@@ -83,10 +62,10 @@ func TestBlameRecordDecomposition(t *testing.T) {
 }
 
 func TestBelowThresholdNotRecorded(t *testing.T) {
-	tr := New("k", Options{Threshold: us(1000)})
-	tb := tr.BeginTask(0, 0, 0, "fast", 0, 0)
-	tr.Compute(tb, us(5))
-	tr.EndTask(tb, us(5), us(5))
+	tr := New(Options{Threshold: us(1000)})
+	tr.BeginTask(0, 0, "fast", 0, 0)
+	tr.Compute(0, us(5))
+	tr.EndTask(0, us(5))
 	if tr.Outliers() != 0 || len(tr.Records()) != 0 {
 		t.Fatal("sub-threshold task recorded")
 	}
@@ -96,10 +75,10 @@ func TestBelowThresholdNotRecorded(t *testing.T) {
 }
 
 func TestMaxRecordsCap(t *testing.T) {
-	tr := New("k", Options{Threshold: 1, MaxRecords: 2})
+	tr := New(Options{Threshold: 1, MaxRecords: 2})
 	for i := 0; i < 5; i++ {
-		tb := tr.BeginTask(0, 0, 0, "slow", 0, 0)
-		tr.EndTask(tb, us(10), us(10))
+		tr.BeginTask(0, 0, "slow", 0, 0)
+		tr.EndTask(0, us(10))
 	}
 	if len(tr.Records()) != 2 {
 		t.Fatalf("%d records retained, want 2", len(tr.Records()))
@@ -109,44 +88,54 @@ func TestMaxRecordsCap(t *testing.T) {
 	}
 }
 
+// Hooks for a core with no begun task (a tracer attached mid-flight) are
+// safe: lockstat aggregates, but the task earns no blame record.
 func TestHooksNilBlameSafe(t *testing.T) {
-	tr := New("k", Options{})
-	tr.Compute(nil, us(1))
-	tr.LockAcquired(nil, 0, 0, "journal", us(1), 0, 0)
-	tr.MMapWait(nil, 0, 0, us(1))
-	tr.Steal(nil, 0, 0, StealTick, us(1))
-	tr.IPI(nil, 0, 0, 3, us(1), us(1))
-	tr.BlockIO(nil, 0, 0, us(1), us(1))
-	tr.Sleep(nil, 0, 0, us(1))
-	tr.EndTask(nil, us(1), us(5000)) // over threshold but no accumulator
+	tr := New(Options{})
+	tr.Compute(2, us(1))
+	tr.LockAcquired(2, kernel.LockJournal, us(1), 0, 0)
+	tr.MMapWait(2, us(1))
+	tr.Steal(2, kernel.StealTick, us(1))
+	tr.IPI(2, 3, us(1), us(1))
+	tr.BlockIO(2, us(1), 0, us(1))
+	tr.Sleep(2, us(1))
+	tr.EndTask(2, us(5000)) // over threshold but no accumulator
 	if len(tr.Records()) != 0 {
-		t.Fatal("nil-blame EndTask produced a record")
+		t.Fatal("EndTask without BeginTask produced a record")
 	}
 	if tr.LockStat("journal") == nil {
 		t.Fatal("lockstat aggregation must not depend on a task accumulator")
 	}
+	// A closed task's accumulator does not absorb later hooks either.
+	tr.BeginTask(0, 0, "x", 0, 0)
+	tr.EndTask(0, us(1))
+	tr.Compute(0, us(5000))
+	tr.EndTask(0, us(5000))
+	if len(tr.Records()) != 0 || tr.Tasks() != 3 {
+		t.Fatalf("records=%d tasks=%d after a closed task, want 0 and 3", len(tr.Records()), tr.Tasks())
+	}
 }
 
 func TestLockStatsAggregationAndOrder(t *testing.T) {
-	tr := New("k", Options{})
-	tr.LockAcquired(nil, 0, 0, "a", us(10), 0, 2)
-	tr.LockAcquired(nil, 0, 0, "a", 0, 0, 0)
-	tr.LockReleased(0, 0, 0, "a", us(3))
-	tr.LockAcquired(nil, 0, 0, "b", us(40), 0, 5)
-	tr.MMapWait(nil, 0, 0, us(2))
+	tr := New(Options{})
+	tr.LockAcquired(0, kernel.LockZone, us(10), 0, 2)
+	tr.LockAcquired(0, kernel.LockZone, 0, 0, 0)
+	tr.LockReleased(0, kernel.LockZone, us(3))
+	tr.LockAcquired(0, kernel.LockLRU, us(40), 0, 5)
+	tr.MMapWait(0, us(2))
 
-	ls := tr.LockStat("a")
+	ls := tr.LockStat("zone")
 	if ls.Acquires != 2 || ls.Contended != 1 || ls.TotalWait != us(10) || ls.MaxWaiters != 2 {
-		t.Fatalf("lock a aggregate wrong: %+v", ls)
+		t.Fatalf("zone aggregate wrong: %+v", ls)
 	}
 	if ls.Holds != 1 || ls.TotalHold != us(3) || ls.MaxHold != us(3) {
-		t.Fatalf("lock a holds wrong: %+v", ls)
+		t.Fatalf("zone holds wrong: %+v", ls)
 	}
 	if ls.ContentionRate() != 0.5 {
 		t.Fatalf("contention rate = %v", ls.ContentionRate())
 	}
 	all := tr.LockStats()
-	if len(all) != 3 || all[0].Name != "b" {
+	if len(all) != 3 || all[0].Name != "lru" {
 		t.Fatalf("LockStats order wrong: %v", all)
 	}
 	if tr.LockStat(MMapSemName).TotalWait != us(2) {
@@ -156,9 +145,9 @@ func TestLockStatsAggregationAndOrder(t *testing.T) {
 
 func TestMergeLockStats(t *testing.T) {
 	mk := func(wait sim.Time) *Tracer {
-		tr := New("k", Options{})
-		tr.LockAcquired(nil, 0, 0, "journal", wait, 0, 1)
-		tr.LockReleased(0, 0, 0, "journal", wait/2)
+		tr := New(Options{})
+		tr.LockAcquired(0, kernel.LockJournal, wait, 0, 1)
+		tr.LockReleased(0, kernel.LockJournal, wait/2)
 		return tr
 	}
 	a, b := mk(us(10)), mk(us(30))
@@ -183,12 +172,12 @@ func TestMergeLockStats(t *testing.T) {
 }
 
 func TestTotalsOf(t *testing.T) {
-	tr := New("k", Options{Threshold: 1})
+	tr := New(Options{Threshold: 1})
 	for i := 0; i < 3; i++ {
-		tb := tr.BeginTask(0, 0, 0, "x", 0, 0)
-		tr.LockAcquired(tb, 0, 0, "journal", us(50), 0, 0)
-		tr.Compute(tb, us(5))
-		tr.EndTask(tb, us(55), us(55))
+		tr.BeginTask(0, 0, "x", 0, 0)
+		tr.LockAcquired(0, kernel.LockJournal, us(50), 0, 0)
+		tr.Compute(0, us(5))
+		tr.EndTask(0, us(55))
 	}
 	totals := TotalsOf(tr.Records())
 	if len(totals) == 0 || totals[0].Cause != LockCause("journal") {
@@ -201,16 +190,10 @@ func TestTotalsOf(t *testing.T) {
 }
 
 func TestEventKindAndStealNames(t *testing.T) {
-	if EvLockAcquire.String() != "lock-acquire" || EvSteal.String() != "steal" {
-		t.Fatal("event kind names wrong")
-	}
-	if EventKind(200).String() != "event?" {
-		t.Fatal("unknown kind not guarded")
-	}
-	if StealHostResidency.String() != "host-residency" || StealKind(9).String() != "steal?" {
+	if kernel.StealHostResidency.String() != "host-residency" || kernel.StealKind(9).String() != "steal?" {
 		t.Fatal("steal names wrong")
 	}
-	if !strings.Contains(New("kern0", Options{}).Summary(), "kern0") {
-		t.Fatal("Summary missing kernel name")
+	if StealCause(kernel.StealInjIPI) != "steal:injected-ipi" {
+		t.Fatal("steal cause label wrong")
 	}
 }

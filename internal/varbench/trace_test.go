@@ -36,7 +36,7 @@ func TestTracingDoesNotChangeMeasurement(t *testing.T) {
 	if len(traced.Tracers) != 1 {
 		t.Fatalf("%d tracers, want 1", len(traced.Tracers))
 	}
-	if traced.Tracers[0].EventCount() == 0 || traced.Tracers[0].Tasks() == 0 {
+	if traced.Tracers[0].Tasks() == 0 {
 		t.Fatal("tracer attached but observed nothing")
 	}
 	if len(plain.Tracers) != 0 {

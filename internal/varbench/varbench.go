@@ -253,15 +253,15 @@ func Run(env *platform.Environment, c *corpus.Corpus, opts Options) *Result {
 	if opts.Trace != nil {
 		res.labelSite = make(map[string]Site)
 		for _, k := range env.Kernels {
-			tr := trace.New(k.Name(), *opts.Trace)
-			k.SetTracer(tr)
+			tr := trace.New(*opts.Trace)
+			k.Observe(tr)
 			res.Tracers = append(res.Tracers, tr)
 		}
 	}
 	if opts.Contention {
 		res.Isolation = isolation.NewRecorder(nCores)
 		for _, k := range env.Kernels {
-			k.EnableIsolation(res.Isolation)
+			k.Observe(res.Isolation.KernelObserver(k))
 		}
 	}
 	// Compile each program once; every core replays the compiled form on

@@ -85,7 +85,8 @@ type (
 	Scale = core.Scale
 	// TraceOptions configures kernel tracing (set VarbenchOptions.Trace).
 	TraceOptions = trace.Options
-	// Tracer records one kernel's events, lockstat, and blame.
+	// Tracer is the kernel observer that aggregates one kernel's lockstat
+	// and blame records.
 	Tracer = trace.Tracer
 	// BlameRecord decomposes one over-threshold task's wall time.
 	BlameRecord = trace.BlameRecord
