@@ -37,34 +37,14 @@ func (k *Kernel) step(c *core, t *Task) {
 			k.stats.OutOfProfileLocks++
 		}
 		t.lockStack = append(t.lockStack, op.Lock)
-		l := &k.locks[op.Lock]
-		reqAt := k.eng.Now()
-		waiters := l.QueueLen()
+		l := k.Lock(op.Lock)
+		t.acq = pendingAcquire{lock: op.Lock, reqAt: k.eng.Now(), waiters: l.QueueLen()}
 		// Snapshot the injected-hold accumulator at request time; the delta
 		// at grant, clamped to the wait, is the injected share of it.
-		var injSnap sim.Time
 		if k.inj != nil {
-			injSnap = k.inj.lockHoldAccum[op.Lock]
+			t.acq.injSnap = k.inj.lockHoldAccum[op.Lock]
 		}
-		l.Acquire(func() {
-			wait := k.eng.Now() - reqAt
-			k.stats.LockWait += wait
-			var injWait sim.Time
-			if k.inj != nil {
-				injWait = k.inj.lockHoldAccum[op.Lock] - injSnap
-				if injWait > wait {
-					injWait = wait
-				}
-				k.stats.InjLockWait += injWait
-			}
-			if len(k.obs) > 0 {
-				for _, o := range k.obs {
-					o.LockAcquired(c.id, op.Lock, wait, injWait, waiters)
-				}
-				t.lockAcqAt = append(t.lockAcqAt, k.eng.Now())
-			}
-			k.step(c, t)
-		})
+		l.Acquire(t.granted)
 
 	case OpUnlock:
 		n := len(t.lockStack)
@@ -82,7 +62,7 @@ func (k *Kernel) step(c *core, t *Task) {
 				o.LockReleased(c.id, op.Lock, hold)
 			}
 		}
-		k.locks[op.Lock].Release()
+		k.Lock(op.Lock).Release()
 		k.step(c, t)
 
 	case OpRLock:
@@ -131,6 +111,38 @@ func (k *Kernel) step(c *core, t *Task) {
 	default:
 		panic(fmt.Sprintf("kernel %s: unknown op kind %d", k.cfg.Name, op.Kind))
 	}
+}
+
+// pendingAcquire is a task's outstanding lock request. A task waits for at
+// most one lock at a time, and keeps its core while it waits.
+type pendingAcquire struct {
+	lock    LockID
+	reqAt   sim.Time
+	injSnap sim.Time // injected-hold accumulator at request time
+	waiters int      // queue length at request time
+}
+
+// lockGranted completes t's pending acquire: it books the wait, tells the
+// observers, and runs t's next op. It is what t.granted calls.
+func (k *Kernel) lockGranted(c *core, t *Task) {
+	a := &t.acq
+	wait := k.eng.Now() - a.reqAt
+	k.stats.LockWait += wait
+	var injWait sim.Time
+	if k.inj != nil {
+		injWait = k.inj.lockHoldAccum[a.lock] - a.injSnap
+		if injWait > wait {
+			injWait = wait
+		}
+		k.stats.InjLockWait += injWait
+	}
+	if len(k.obs) > 0 {
+		for _, o := range k.obs {
+			o.LockAcquired(c.id, a.lock, wait, injWait, a.waiters)
+		}
+		t.lockAcqAt = append(t.lockAcqAt, k.eng.Now())
+	}
+	k.step(c, t)
 }
 
 // mmapGranted books an address-space semaphore grant: the wait counts
@@ -221,7 +233,7 @@ func (k *Kernel) runIPI(c *core, t *Task, op Op) {
 		cost := k.par.IPIBase + sim.Time(targets)*k.par.IPIPerTarget
 		if v := k.cfg.Virt; v != nil && op.Exits > 0 {
 			// Each remote vCPU kick traps to the hypervisor.
-			exits := op.Exits * targets
+			exits := int(op.Exits) * targets
 			cost += sim.Time(exits) * v.ExitCost
 			k.stats.VMExits += uint64(exits)
 		}

@@ -101,24 +101,17 @@ type ContentionReport struct {
 func (k *Kernel) Contention() ContentionReport {
 	var rep ContentionReport
 	rep.Kernel = k.cfg.Name
-	for id, name := range lockNames {
-		l := &k.locks[id]
-		rep.Locks = append(rep.Locks, LockStats{
-			Name: name, Acquires: l.Acquires(), Contended: l.Contended(),
-			MaxQueue: l.MaxQueue(), TotalWait: l.TotalWait(),
-		})
+	for id := range lockNames {
+		rep.Locks = append(rep.Locks, k.LockStats(id))
 	}
 	for _, fam := range shardFamilies {
-		var agg LockStats
-		agg.Name = fam.name
+		agg := LockStats{Name: fam.name}
 		for i := 0; i < fam.count; i++ {
-			l := &k.locks[fam.base+LockID(i)]
-			agg.Acquires += l.Acquires()
-			agg.Contended += l.Contended()
-			agg.TotalWait += l.TotalWait()
-			if l.MaxQueue() > agg.MaxQueue {
-				agg.MaxQueue = l.MaxQueue()
-			}
+			s := k.LockStats(fam.base + LockID(i))
+			agg.Acquires += s.Acquires
+			agg.Contended += s.Contended
+			agg.TotalWait += s.TotalWait
+			agg.MaxQueue = max(agg.MaxQueue, s.MaxQueue)
 		}
 		rep.Locks = append(rep.Locks, agg)
 	}

@@ -8,8 +8,8 @@ import (
 
 // LockID names one of the kernel's shared lock instances. Sharded locks
 // (inode mutexes, futex hash buckets, pipe locks) are addressed as
-// base ID + shard.
-type LockID int
+// base ID + shard. It is 32 bits wide so that an Op fits in 16 bytes.
+type LockID int32
 
 // The kernel's shared locks. The inventory mirrors the Linux structures
 // whose contention the paper's six syscall categories exercise.
@@ -88,9 +88,9 @@ const (
 	OpSleep
 )
 
-// Op is one micro-operation.
+// Op is one micro-operation. Every syscall compiles into a fresh list of
+// them, so the fields are ordered and sized to pack an Op into 16 bytes.
 type Op struct {
-	Kind OpKind
 	// Dur is on-CPU work (OpCompute), device service override (OpBlockIO,
 	// zero = draw from the device model), or sleep length (OpSleep).
 	Dur sim.Time
@@ -98,7 +98,8 @@ type Op struct {
 	Lock LockID
 	// Exits is the number of VM exits this op triggers under virtualization
 	// (ignored for native kernels).
-	Exits int
+	Exits int16
+	Kind  OpKind
 	// User marks user-space compute: it is not subject to the guest
 	// kernel's compute dilation (EPT pressure hits kernel paths, which walk
 	// page tables and touch many mappings, far harder than steady-state
@@ -138,6 +139,14 @@ type OpList struct {
 	ops []Op
 }
 
+// exitCount narrows a per-op VM exit count to Op.Exits.
+func exitCount(n int) int16 {
+	if n != int(int16(n)) {
+		panic(fmt.Sprintf("kernel: %d VM exits in one op", n))
+	}
+	return int16(n)
+}
+
 // Ops returns the accumulated sequence.
 func (l *OpList) Ops() []Op { return l.ops }
 
@@ -150,7 +159,7 @@ func (l *OpList) Compute(d sim.Time) *OpList {
 // ComputeExits appends on-CPU work that triggers n VM exits when the kernel
 // is virtualized.
 func (l *OpList) ComputeExits(d sim.Time, n int) *OpList {
-	l.ops = append(l.ops, Op{Kind: OpCompute, Dur: d, Exits: n})
+	l.ops = append(l.ops, Op{Kind: OpCompute, Dur: d, Exits: exitCount(n)})
 	return l
 }
 
@@ -226,6 +235,6 @@ func (l *OpList) Append(ops ...Op) *OpList {
 // UserCompute appends user-space work that triggers n VM exits under
 // virtualization but is not subject to kernel compute dilation.
 func (l *OpList) UserCompute(d sim.Time, exits int) *OpList {
-	l.ops = append(l.ops, Op{Kind: OpCompute, Dur: d, Exits: exits, User: true})
+	l.ops = append(l.ops, Op{Kind: OpCompute, Dur: d, Exits: exitCount(exits), User: true})
 	return l
 }

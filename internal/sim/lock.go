@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Lock is an exclusive FIFO lock resource (ticket-lock semantics): waiters
 // are granted the lock in arrival order. Arrival order at the same virtual
 // time is the event-schedule order, which the engine makes deterministic.
@@ -13,22 +11,21 @@ import "fmt"
 type Lock struct {
 	eng  *Engine
 	name string
-	// Slab-constructed locks derive their name lazily from prefix+idx on
-	// first request: kernels allocate hundreds of locks apiece and are
-	// themselves mass-constructed (one per sweep cell, one per coverage
-	// evaluation), while almost no lock's name is ever asked for.
-	prefix string
-	idx    int
 
 	held    bool
-	waiters []func()
+	waiters []waiter
 
 	// Contention counters, used by tests and by kernel introspection.
-	acquires   uint64
-	contended  uint64
-	maxQueue   int
-	totalWait  Time
-	waitStamps []Time // arrival times of current waiters, parallel to waiters
+	acquires  uint64
+	contended uint64
+	maxQueue  int
+	totalWait Time
+}
+
+// waiter is one queued request: its grant callback and arrival time.
+type waiter struct {
+	granted func()
+	at      Time
 }
 
 // NewLock returns an unheld lock attached to eng. The name is used only for
@@ -37,28 +34,21 @@ func NewLock(eng *Engine, name string) *Lock {
 	return &Lock{eng: eng, name: name}
 }
 
-// NewLockSlab returns n unheld locks backed by a single allocation, named
-// "<prefix>/lock<i>" (materialized lazily). Use it when constructing lock
-// families in bulk; the locks must be addressed in place (&slab[i]) — the
-// slab must not be copied or grown.
-func NewLockSlab(eng *Engine, prefix string, n int) []Lock {
+// NewLockSlab returns n unnamed, unheld locks backed by a single
+// allocation. Use it when constructing lock families in bulk; the locks
+// must be addressed in place (&slab[i]) — the slab must not be copied or
+// grown.
+func NewLockSlab(eng *Engine, n int) []Lock {
 	locks := make([]Lock, n)
 	for i := range locks {
 		locks[i].eng = eng
-		locks[i].prefix = prefix
-		locks[i].idx = i
 	}
 	return locks
 }
 
-// Name returns the diagnostic name given at construction, deriving it on
-// first use for slab-constructed locks.
-func (l *Lock) Name() string {
-	if l.name == "" && l.prefix != "" {
-		l.name = fmt.Sprintf("%s/lock%d", l.prefix, l.idx)
-	}
-	return l.name
-}
+// Name returns the diagnostic name given at construction ("" for slab
+// locks).
+func (l *Lock) Name() string { return l.name }
 
 // Held reports whether the lock is currently owned.
 func (l *Lock) Held() bool { return l.held }
@@ -89,8 +79,7 @@ func (l *Lock) Acquire(granted func()) {
 		return
 	}
 	l.contended++
-	l.waiters = append(l.waiters, granted)
-	l.waitStamps = append(l.waitStamps, l.eng.Now())
+	l.waiters = append(l.waiters, waiter{granted, l.eng.Now()})
 	if len(l.waiters) > l.maxQueue {
 		l.maxQueue = len(l.waiters)
 	}
@@ -119,9 +108,8 @@ func (l *Lock) Release() {
 	}
 	next := l.waiters[0]
 	l.waiters = l.waiters[1:]
-	l.totalWait += l.eng.Now() - l.waitStamps[0]
-	l.waitStamps = l.waitStamps[1:]
-	next()
+	l.totalWait += l.eng.Now() - next.at
+	next.granted()
 }
 
 // ResetStats zeroes the contention counters (queue state is untouched).

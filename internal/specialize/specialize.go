@@ -115,7 +115,7 @@ func ProfileCorpus(c *corpus.Corpus, tab *syscalls.Table, seed uint64, passes in
 	for pass := 0; pass < passes; pass++ {
 		k, stats := observePass(c, tab, src.Split(uint64(pass)+1), p)
 		for id := kernel.LockID(0); id < kernel.LockID(kernel.NumLocks()); id++ {
-			if k.Lock(id).Acquires() > 0 {
+			if k.LockStats(id).Acquires > 0 {
 				touched[kernel.TraceLockName(id)] = true
 			}
 		}

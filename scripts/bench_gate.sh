@@ -1,20 +1,47 @@
 #!/usr/bin/env bash
-# Benchmark correctness gate: run every ksabench workload once, briefly, and
-# fail unless each run reports correct outputs and no failed op. Timings,
-# per-layer counts and allocation are printed but not gated.
+# Benchmark gate: run every ksabench workload briefly at seed 42, once
+# untraced and once traced, and fail when
+#   - a run reports incorrect output or a failed op;
+#   - the untraced run's alloc_mib_per_op exceeds the workload's value in
+#     scripts/bench_expected.json by more than 3%;
+#   - a count in the traced run differs from the workload's exact counts in
+#     scripts/bench_expected.json.
+# Timings are printed but not gated: they depend on the host.
 #
 # Usage: scripts/bench_gate.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+expected="$root/scripts/bench_expected.json"
 status=0
+fail() {
+  echo "FAIL: $*" >&2
+  status=1
+}
+
 for w in sweep-cold sweep-warm density cluster-bsp; do
-  echo "== ksabench $w"
-  last=$(bash "$root/ksabench/run.sh" --workload "$w" --seed 42 --seconds 1 --trace 0 | tail -1)
-  echo "$last"
-  if ! jq -e '.correct == true and .failed == 0' <<<"$last" >/dev/null; then
-    echo "FAIL: $w reported incorrect output or failed ops" >&2
-    status=1
-  fi
+  for trace in 0 1; do
+    echo "== ksabench $w --trace $trace"
+    last=$(bash "$root/ksabench/run.sh" --workload "$w" --seed 42 --seconds 1 --trace "$trace" | tail -1)
+    echo "$last"
+    if ! jq -e '.correct == true and .failed == 0' <<<"$last" >/dev/null; then
+      fail "$w reported incorrect output or failed ops"
+    fi
+    if [ "$trace" = 0 ]; then
+      over=$(jq -rn --argjson run "$last" --slurpfile exp "$expected" --arg w "$w" '
+        $run.metrics.alloc_mib_per_op.value as $got
+        | $exp[0][$w].alloc_mib_per_op as $want
+        | select($got > $want * 1.03)
+        | "alloc_mib_per_op \($got) > \($want) + 3%"')
+    else
+      over=$(jq -rn --argjson run "$last" --slurpfile exp "$expected" --arg w "$w" '
+        $exp[0][$w].counts | to_entries[]
+        | select($run.metrics[.key].value != .value)
+        | "\(.key) \($run.metrics[.key].value) != \(.value)"')
+    fi
+    if [ -n "$over" ]; then
+      fail "$w: $over"
+    fi
+  done
 done
 exit "$status"
