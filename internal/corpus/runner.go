@@ -36,11 +36,11 @@ var enosysOps = []kernel.Op{{Kind: kernel.OpCompute, Dur: enosysFailCost}}
 // process context, resolving result references as calls complete.
 //
 // A runner executes one program at a time (the next Run/RunCompiled may
-// only start after the previous one's done callback has fired); in
-// exchange it reuses its argument and result arenas, its task, and its
-// continuation closures across calls and across iterations, so replaying a
-// compiled program allocates nothing per call beyond the micro-op
-// sequences the syscall compilers build.
+// only start after the previous one's done callback has fired), and one
+// call of it at a time; in exchange it reuses its argument and result
+// arenas, its op list, its task, its process and its continuation closures
+// across calls and across iterations, so once warmed, replaying a compiled
+// program allocates nothing.
 type Runner struct {
 	Table *syscalls.Table
 	Eng   *sim.Engine
@@ -86,8 +86,11 @@ type compiledRun struct {
 	done    func()
 	i       int
 	ctx     syscalls.Ctx
-	onDone  func(lat sim.Time)
-	next    func()
+	// ops receives each call's micro-ops. The in-flight task reads them
+	// until its OnDone, and the next call resets the list only after that.
+	ops    kernel.OpList
+	onDone func(lat sim.Time)
+	next   func()
 }
 
 // NewRunner builds a runner with a fresh process on the given core. A nil
@@ -101,20 +104,23 @@ func NewRunner(eng *sim.Engine, k *kernel.Kernel, core int, tab *syscalls.Table)
 		Eng:   eng,
 		Kern:  k,
 		Core:  core,
+		Proc:  syscalls.NewProc(eng),
 		Cov:   syscalls.NopCoverage{},
 	}
 	r.ResetProc()
 	return r
 }
 
-// ResetProc installs a fresh process context — empty address space, a
-// stdio-only descriptor table, root credentials — as if the program were
-// exec'd anew, while the runner's arenas and scheduling state persist.
-// Iteration-oriented harnesses (varbench resets before every recorded
-// iteration) use it to reproduce the exact behavior of building a new
-// runner without discarding the warmed replay arenas.
+// ResetProc returns the runner's process to a fresh context — empty
+// address space, a stdio-only descriptor table, root credentials — as if
+// the program were exec'd anew, while the runner's arenas and scheduling
+// state persist. Iteration-oriented harnesses (varbench resets before
+// every recorded iteration) use it to reproduce the exact behavior of
+// building a new runner without discarding the warmed replay arenas. The
+// process is reset in place (syscalls.Proc.Reset), so r.Proc keeps its
+// identity and its storage.
 func (r *Runner) ResetProc() {
-	r.Proc = syscalls.NewProc(r.Eng)
+	r.Proc.Reset()
 	// Each rank works on private kernel objects (its own directory, its own
 	// mappings); the salt keeps its hashes off other ranks' shards.
 	r.Proc.Salt = uint64(r.Core+1) * 0xbf58476d1ce4e5b9
@@ -212,9 +218,9 @@ func (cr *compiledRun) exec() {
 		args[ref.arg] = r.results[ref.src] % ref.dom
 	}
 	cr.ctx.Kern, cr.ctx.Core, cr.ctx.Proc, cr.ctx.Cov = r.Kern, r.Core, r.Proc, r.Cov
-	ops, ret := c.spec.CompilePrepared(&cr.ctx, args)
-	r.results[cr.i] = ret
-	t.Ops = ops
+	cr.ops.Reset()
+	r.results[cr.i] = c.spec.CompilePrepared(&cr.ctx, &cr.ops, args)
+	t.Ops = cr.ops.Ops()
 	t.AddrSpace = r.Proc.MM
 	t.OnDone = cr.onDone
 	t.Tenant = r.Tenant

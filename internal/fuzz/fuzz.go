@@ -116,7 +116,8 @@ func coverageOf(p *corpus.Program, tab *syscalls.Table, evalSeed uint64) *Covera
 		Params: kernel.Params{Quiet: true},
 	}, rng.New(evalSeed))
 	cov := NewCoverage()
-	proc := syscalls.NewProc(eng)
+	ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: syscalls.NewProc(eng), Cov: cov}
+	var ops kernel.OpList // scratch: only the coverage is kept
 	results := make([]uint64, len(p.Calls))
 	for i, call := range p.Calls {
 		spec := tab.Get(call.Syscall)
@@ -128,9 +129,8 @@ func coverageOf(p *corpus.Program, tab *syscalls.Table, evalSeed uint64) *Covera
 				args[j] = a.X
 			}
 		}
-		ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: proc, Cov: cov}
-		_, ret := spec.Compile(ctx, args)
-		results[i] = ret
+		ops.Reset()
+		results[i] = spec.Compile(ctx, &ops, args)
 	}
 	return cov
 }

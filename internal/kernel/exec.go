@@ -66,22 +66,16 @@ func (k *Kernel) step(c *core, t *Task) {
 		k.step(c, t)
 
 	case OpRLock:
-		reqAt := k.eng.Now()
-		t.AddrSpace.RLock(func() {
-			k.mmapGranted(c, reqAt)
-			k.step(c, t)
-		})
+		t.acq.reqAt = k.eng.Now()
+		t.AddrSpace.RLock(t.mmapGrant)
 
 	case OpRUnlock:
 		t.AddrSpace.RUnlock()
 		k.step(c, t)
 
 	case OpWLock:
-		reqAt := k.eng.Now()
-		t.AddrSpace.Lock(func() {
-			k.mmapGranted(c, reqAt)
-			k.step(c, t)
-		})
+		t.acq.reqAt = k.eng.Now()
+		t.AddrSpace.Lock(t.mmapGrant)
 
 	case OpWUnlock:
 		t.AddrSpace.Unlock()
@@ -113,8 +107,9 @@ func (k *Kernel) step(c *core, t *Task) {
 	}
 }
 
-// pendingAcquire is a task's outstanding lock request. A task waits for at
-// most one lock at a time, and keeps its core while it waits.
+// pendingAcquire is a task's outstanding lock request: a kernel lock, or
+// (reqAt alone) its address-space semaphore. A task waits for at most one
+// lock at a time, and keeps its core while it waits.
 type pendingAcquire struct {
 	lock    LockID
 	reqAt   sim.Time
@@ -145,14 +140,16 @@ func (k *Kernel) lockGranted(c *core, t *Task) {
 	k.step(c, t)
 }
 
-// mmapGranted books an address-space semaphore grant: the wait counts
-// toward Stats.LockWait and is reported to the observers.
-func (k *Kernel) mmapGranted(c *core, reqAt sim.Time) {
-	wait := k.eng.Now() - reqAt
+// mmapGranted completes t's pending address-space semaphore acquire: the
+// wait since t.acq.reqAt counts toward Stats.LockWait and is reported to
+// the observers, then t's next op runs. It is what t.mmapGrant calls.
+func (k *Kernel) mmapGranted(c *core, t *Task) {
+	wait := k.eng.Now() - t.acq.reqAt
 	k.stats.LockWait += wait
 	for _, o := range k.obs {
 		o.MMapWait(c.id, wait)
 	}
+	k.step(c, t)
 }
 
 // computeCost applies hold scaling and the virtualization tax to an op's

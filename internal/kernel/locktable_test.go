@@ -96,20 +96,22 @@ func TestLockReadsCreateNoPage(t *testing.T) {
 	}
 }
 
-// Every syscall compiles into a fresh op list, so an Op stays 16 bytes.
+// Every call and request compiles into an op list, so an Op stays 16 bytes.
 func TestOpIsSixteenBytes(t *testing.T) {
 	if got := unsafe.Sizeof(Op{}); got != 16 {
 		t.Fatalf("Op is %d B, want 16", got)
 	}
 }
 
-// A resubmitted task takes its locks without allocating: the grant
-// continuation is built once per task, like cont.
+// A resubmitted task takes its locks, and its address-space semaphore,
+// without allocating: the grant continuations are built once per task,
+// like cont.
 func TestLockAcquireAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	k := quietKernel(eng, 1)
 	var l OpList
 	l.Crit(LockDcache, sim.Microsecond).Lock(LockInodeBase+3).Crit(LockRunqueue, sim.Microsecond).Unlock(LockInodeBase + 3)
+	l.MMapRead(sim.Microsecond).MMapWrite(sim.Microsecond)
 	task := &Task{Ops: l.Ops()}
 	run := func() {
 		k.Submit(0, task)
@@ -122,5 +124,8 @@ func TestLockAcquireAllocFree(t *testing.T) {
 	// Our warm-up, AllocsPerRun's own warm-up, then its 100 runs.
 	if got := k.LockStats(LockDcache).Acquires; got != 102 {
 		t.Fatalf("dcache acquired %d times, want 102", got)
+	}
+	if got := task.AddrSpace.Acquires(); got != 204 {
+		t.Fatalf("address space acquired %d times, want 204", got)
 	}
 }

@@ -88,8 +88,8 @@ const (
 	OpSleep
 )
 
-// Op is one micro-operation. Every syscall compiles into a fresh list of
-// them, so the fields are ordered and sized to pack an Op into 16 bytes.
+// Op is one micro-operation. Syscalls compile into lists of them, so the
+// fields are ordered and sized to pack an Op into 16 bytes.
 type Op struct {
 	// Dur is on-CPU work (OpCompute), device service override (OpBlockIO,
 	// zero = draw from the device model), or sleep length (OpSleep).
@@ -134,10 +134,17 @@ func (o Op) String() string {
 	}
 }
 
-// OpList builds micro-op sequences fluently; syscall compilers use it.
+// OpList builds micro-op sequences fluently. Syscall compilers append to a
+// list their caller owns; a caller that reuses one list across calls (the
+// corpus runner does) Resets it between them and so appends into storage
+// it has already grown.
 type OpList struct {
 	ops []Op
 }
+
+// Reset empties the list, keeping its storage. Ops returned before the
+// reset share that storage, so they are overwritten by later appends.
+func (l *OpList) Reset() { l.ops = l.ops[:0] }
 
 // exitCount narrows a per-op VM exit count to Op.Exits.
 func exitCount(n int) int16 {
@@ -147,7 +154,14 @@ func exitCount(n int) int16 {
 	return int16(n)
 }
 
-// Ops returns the accumulated sequence.
+// Grow makes room for n more ops, so the next n appends do not reallocate.
+func (l *OpList) Grow(n int) {
+	if cap(l.ops)-len(l.ops) < n {
+		l.ops = append(make([]Op, 0, len(l.ops)+n), l.ops...)
+	}
+}
+
+// Ops returns the accumulated sequence. It is valid until the next Reset.
 func (l *OpList) Ops() []Op { return l.ops }
 
 // Compute appends on-CPU work.
@@ -222,13 +236,6 @@ func (l *OpList) BlockIO(d sim.Time) *OpList {
 // Sleep appends an off-CPU wait.
 func (l *OpList) Sleep(d sim.Time) *OpList {
 	l.ops = append(l.ops, Op{Kind: OpSleep, Dur: d})
-	return l
-}
-
-// Append splices pre-compiled ops verbatim (used to embed one compiled
-// sequence inside another, e.g. a syscall inside an application request).
-func (l *OpList) Append(ops ...Op) *OpList {
-	l.ops = append(l.ops, ops...)
 	return l
 }
 

@@ -66,11 +66,9 @@ func (b *Barrier) Arrive(resume func()) {
 	if len(b.waiting) < b.parties {
 		return
 	}
-	batch := b.waiting
-	b.waiting = nil
 	b.epochs++
 	release := b.eng.Now() + b.ReleaseLatency()
-	for _, fn := range batch {
+	for _, fn := range b.waiting {
 		at := release
 		if b.Jitter != nil {
 			if j := b.Jitter(); j > 0 {
@@ -79,4 +77,8 @@ func (b *Barrier) Arrive(resume func()) {
 		}
 		b.eng.At(at, fn)
 	}
+	// At only schedules, so no party arrives during the loop; the next
+	// epoch reuses the list.
+	clear(b.waiting)
+	b.waiting = b.waiting[:0]
 }

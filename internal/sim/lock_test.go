@@ -283,6 +283,27 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
+// A warmed barrier's arrive/release cycle allocates nothing: each epoch
+// reuses the waiting list.
+func TestBarrierEpochAllocFree(t *testing.T) {
+	e := NewEngine()
+	b := NewBarrier(e, 8, 1)
+	fn := func() {}
+	epoch := func() {
+		for i := 0; i < 8; i++ {
+			b.Arrive(fn)
+		}
+		e.Run()
+	}
+	epoch() // grows the waiting list and the event slab
+	if n := testing.AllocsPerRun(100, epoch); n != 0 {
+		t.Fatalf("%v allocs per epoch, want 0", n)
+	}
+	if b.Epochs() != 102 {
+		t.Fatalf("epochs = %d, want 102", b.Epochs())
+	}
+}
+
 func TestBarrierZeroPartiesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -31,6 +31,15 @@ func NewRWLock(eng *Engine, name string) *RWLock {
 	return &RWLock{eng: eng, name: name}
 }
 
+// Reset returns an idle lock to its constructed state: it zeroes the
+// counters. It panics if the lock is held or has waiters.
+func (l *RWLock) Reset() {
+	if l.readers > 0 || l.writer || len(l.queue) > 0 {
+		panic("sim: Reset of busy RWLock " + l.name)
+	}
+	l.acquires, l.contended, l.maxQueue = 0, 0, 0
+}
+
 // Name returns the diagnostic name given at construction.
 func (l *RWLock) Name() string { return l.name }
 

@@ -41,7 +41,7 @@ func compileOn(t *testing.T, name string, args ...uint64) opShape {
 	if spec == nil {
 		t.Fatalf("missing %s", name)
 	}
-	ops, _ := spec.Compile(ctx, args)
+	ops, _ := compileOps(ctx, spec, args)
 	return shapeOf(ops)
 }
 
@@ -156,7 +156,7 @@ func TestSocketLifecycle(t *testing.T) {
 	// socket -> bind -> listen -> accept4 runs as one sequence against the
 	// process state, with the socket fd threading through.
 	sock := tab.Lookup("socket")
-	ops, fd := sock.Compile(ctx, []uint64{1, 1})
+	ops, fd := compileOps(ctx, sock, []uint64{1, 1})
 	run := func(ops []kernel.Op) {
 		ctx.Kern.Submit(0, &kernel.Task{Ops: ops, AddrSpace: ctx.Proc.MM})
 		eng.Run()
@@ -177,7 +177,7 @@ func TestSocketLifecycle(t *testing.T) {
 		{"recvmsg", []uint64{fd, 2048}},
 		{"shutdown", []uint64{fd, 2}},
 	} {
-		ops, _ := tab.Lookup(step.name).Compile(ctx, step.args)
+		ops, _ := compileOps(ctx, tab.Lookup(step.name), step.args)
 		if len(ops) == 0 {
 			t.Fatalf("%s compiled empty", step.name)
 		}

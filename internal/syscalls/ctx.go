@@ -124,19 +124,26 @@ type Proc struct {
 // descriptors, an empty address space, and root credentials.
 func NewProc(eng *sim.Engine) *Proc {
 	p := &Proc{
-		MM:        sim.NewRWLock(eng, "mm"),
-		nextInode: 1,
-		Brk:       1 << 20,
-		Caps:      0xffff,
+		MM: sim.NewRWLock(eng, "mm"),
 		// Room for stdio plus a typical program's handful of opens in the
-		// initial allocation: processes are mass-constructed (one per
-		// harness iteration), so append-time growth is worth avoiding.
+		// initial allocation, so append-time growth is rare.
 		fds: make([]FD, 0, 8),
 	}
+	p.Reset()
+	return p
+}
+
+// Reset returns p to NewProc's state — stdio descriptors, an empty address
+// space, root credentials, a zero Salt — as if the program were exec'd
+// anew, but keeps its descriptor table's storage and its MM, so a process
+// reused across program runs allocates nothing. It panics if MM is held or
+// has waiters: only a bug resets a busy address space.
+func (p *Proc) Reset() {
+	p.MM.Reset()
+	*p = Proc{MM: p.MM, fds: p.fds[:0], nextInode: 1, Brk: 1 << 20, Caps: 0xffff}
 	for i := 0; i < 3; i++ {
 		p.AddFD(FDFile)
 	}
-	return p
 }
 
 // AddFD opens a descriptor of the given kind and returns its index. Like a

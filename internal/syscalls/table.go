@@ -55,10 +55,12 @@ func (a ArgSpec) GenDomain() uint64 {
 	return a.Domain
 }
 
-// CompileFunc turns arguments plus process state into micro-ops. It returns
-// the op sequence and the call's result value (meaningful when the spec's
-// Returns is not ResNone).
-type CompileFunc func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64)
+// CompileFunc turns arguments plus process state into micro-ops, appending
+// them to l, and returns the call's result value (meaningful when the
+// spec's Returns is not ResNone). A compiler only appends: the caller owns
+// l, resets it between calls and may reuse it, so a compiler keeps no
+// reference to l or its ops.
+type CompileFunc func(ctx *Ctx, l *kernel.OpList, args []uint64) uint64
 
 // Spec is one syscall's static description.
 type Spec struct {
@@ -84,33 +86,32 @@ func withWeight(s *Spec, w float64) *Spec {
 	return s
 }
 
-// Compile invokes the spec's compiler with coverage attribution set up.
-// Missing arguments are zero-filled, extras are ignored, and every argument
-// is reduced into its declared generation domain so that arbitrary raw
-// values (from mutation or adversarial corpuses) cannot produce
-// out-of-model costs.
-func (s *Spec) Compile(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-	ctx.callID = s.id
+// Compile appends the call's micro-ops to l, with coverage attribution set
+// up, and returns its result. Missing arguments are zero-filled, extras are
+// ignored, and every argument is reduced into its declared generation
+// domain so that arbitrary raw values (from mutation or adversarial
+// corpuses) cannot produce out-of-model costs.
+func (s *Spec) Compile(ctx *Ctx, l *kernel.OpList, args []uint64) uint64 {
 	full := make([]uint64, len(s.Args))
 	copy(full, args)
 	for i, a := range s.Args {
 		full[i] %= a.GenDomain()
 	}
-	return s.compile(ctx, full)
+	return s.CompilePrepared(ctx, l, full)
 }
 
-// CompilePrepared invokes the spec's compiler with an argument slice the
-// caller has already materialized: exactly len(s.Args) values, each reduced
-// into its declared generation domain. It is the allocation-free fast path
-// behind corpus.Compile, which plans that materialization once per program;
-// Compile remains the forgiving entry point for raw argument lists. The
-// slice is borrowed only for the duration of the call.
-func (s *Spec) CompilePrepared(ctx *Ctx, full []uint64) ([]kernel.Op, uint64) {
+// CompilePrepared is Compile for an argument slice the caller has already
+// materialized: exactly len(s.Args) values, each reduced into its declared
+// generation domain. It is the allocation-free fast path behind the corpus
+// runner, which plans that materialization once per program, and behind
+// tailbench's requests; Compile remains the forgiving entry point for raw
+// argument lists. The slice is borrowed only for the duration of the call.
+func (s *Spec) CompilePrepared(ctx *Ctx, l *kernel.OpList, full []uint64) uint64 {
 	if len(full) != len(s.Args) {
 		panic(fmt.Sprintf("syscalls: %s: prepared args len %d, want %d", s.Name, len(full), len(s.Args)))
 	}
 	ctx.callID = s.id
-	return s.compile(ctx, full)
+	return s.compile(ctx, l, full)
 }
 
 // Table is the assembled syscall table.

@@ -1,6 +1,7 @@
 package syscalls
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,13 @@ func testCtx(t *testing.T) (*Ctx, *sim.Engine) {
 		Params: kernel.Params{Quiet: true},
 	}, rng.New(11))
 	return &Ctx{Kern: k, Core: 0, Proc: NewProc(eng), Cov: NopCoverage{}}, eng
+}
+
+// compileOps compiles one call into a fresh op list.
+func compileOps(ctx *Ctx, s *Spec, args []uint64) ([]kernel.Op, uint64) {
+	var l kernel.OpList
+	ret := s.Compile(ctx, &l, args)
+	return l.Ops(), ret
 }
 
 func TestTableBasics(t *testing.T) {
@@ -94,7 +102,7 @@ func TestEverySyscallCompilesAndRuns(t *testing.T) {
 				for i, a := range s.Args {
 					args[i] = (uint64(trial)*2654435761 + uint64(i)*40503) % a.GenDomain()
 				}
-				ops, _ := s.Compile(ctx, args)
+				ops, _ := compileOps(ctx, s, args)
 				completed := false
 				ctx.Kern.Submit(0, &kernel.Task{
 					Ops:       ops,
@@ -119,7 +127,7 @@ func TestCompileBalancedProperty(t *testing.T) {
 	if err := quick.Check(func(id uint16, a, b, c uint64) bool {
 		s := tab.Get(ID(id % uint16(tab.Len())))
 		args := []uint64{a, b, c}
-		ops, _ := s.Compile(ctx, args)
+		ops, _ := compileOps(ctx, s, args)
 		done := false
 		ctx.Kern.Submit(0, &kernel.Task{Ops: ops, AddrSpace: ctx.Proc.MM,
 			OnDone: func(sim.Time) { done = true }})
@@ -137,8 +145,8 @@ func TestCoverageBlocksAreNamespaced(t *testing.T) {
 	ctx.Cov = coverageFunc(func(b uint32) { rec[b] = true })
 	open := Default().Lookup("open")
 	read := Default().Lookup("read")
-	open.Compile(ctx, []uint64{1, 0x40})
-	read.Compile(ctx, []uint64{0, 4096})
+	compileOps(ctx, open, []uint64{1, 0x40})
+	compileOps(ctx, read, []uint64{0, 4096})
 	sawOpen, sawRead := false, false
 	for b := range rec {
 		switch ID(b >> 8) {
@@ -163,7 +171,7 @@ func TestArgsAreZeroFilled(t *testing.T) {
 	ctx, _ := testCtx(t)
 	open := Default().Lookup("open")
 	// Passing no args must not panic.
-	ops, _ := open.Compile(ctx, nil)
+	ops, _ := compileOps(ctx, open, nil)
 	if len(ops) == 0 {
 		t.Fatal("no ops compiled")
 	}
@@ -196,6 +204,48 @@ func TestProcFDLifecycle(t *testing.T) {
 	}
 }
 
+// Reset returns a used process to NewProc's state in place: the same MM,
+// its counters zeroed, and no allocation.
+func TestProcResetMatchesNewProc(t *testing.T) {
+	ctx, eng := testCtx(t)
+	p := ctx.Proc
+	mm := p.MM
+	tab := Default()
+	for _, call := range []struct {
+		name string
+		args []uint64
+	}{{"open", []uint64{5, 0}}, {"pipe2", nil}, {"mmap", []uint64{1 << 16, 0}}, {"setuid", []uint64{42}}} {
+		ops, _ := compileOps(ctx, tab.Lookup(call.name), call.args)
+		ctx.Kern.Submit(0, &kernel.Task{Ops: ops, AddrSpace: mm})
+		eng.Run()
+	}
+	p.Salt = 99
+	if mm.Acquires() == 0 || p.NumFDs() <= 3 || p.UID != 42 || p.VMAs == 0 {
+		t.Fatalf("calls left no state to reset: %d mm acquires, %d fds, uid %d, %d vmas", mm.Acquires(), p.NumFDs(), p.UID, p.VMAs)
+	}
+	if n := testing.AllocsPerRun(10, p.Reset); n != 0 {
+		t.Fatalf("Reset allocated %v times", n)
+	}
+	fresh := NewProc(eng)
+	got := *p
+	got.MM = fresh.MM
+	if p.MM != mm || mm.Acquires() != 0 || !reflect.DeepEqual(got, *fresh) {
+		t.Fatalf("reset proc %+v (mm %p, %d acquires), want %+v (mm %p)", *p, p.MM, mm.Acquires(), *fresh, mm)
+	}
+}
+
+// Resetting a process whose address space is held is a bug, not a reset.
+func TestProcResetPanicsWhenMMHeld(t *testing.T) {
+	p := NewProc(sim.NewEngine())
+	p.MM.RLock(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a process with a held MM did not panic")
+		}
+	}()
+	p.Reset()
+}
+
 func TestLookupFDEmptyTable(t *testing.T) {
 	p := &Proc{}
 	fd, idx := p.LookupFD(7)
@@ -208,7 +258,7 @@ func TestOpenReturnsUsableFD(t *testing.T) {
 	ctx, eng := testCtx(t)
 	open := Default().Lookup("open")
 	before := ctx.Proc.NumFDs()
-	_, ret := open.Compile(ctx, []uint64{5, 0})
+	_, ret := compileOps(ctx, open, []uint64{5, 0})
 	if int(ret) != before {
 		t.Fatalf("open returned fd %d, want %d", ret, before)
 	}
@@ -222,7 +272,7 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 	ctx, eng := testCtx(t)
 	munmap := Default().Lookup("munmap")
 	// Nothing mapped: no IPI.
-	ops, _ := munmap.Compile(ctx, []uint64{4096})
+	ops, _ := compileOps(ctx, munmap, []uint64{4096})
 	for _, op := range ops {
 		if op.Kind == kernel.OpIPI {
 			t.Fatal("munmap of empty mm issued shootdown")
@@ -230,8 +280,8 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 	}
 	// Map, then unmap: IPI present.
 	mmap := Default().Lookup("mmap")
-	mmap.Compile(ctx, []uint64{4096, 0})
-	ops, _ = munmap.Compile(ctx, []uint64{4096})
+	compileOps(ctx, mmap, []uint64{4096, 0})
+	ops, _ = compileOps(ctx, munmap, []uint64{4096})
 	found := false
 	for _, op := range ops {
 		if op.Kind == kernel.OpIPI {
@@ -247,13 +297,13 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 func TestSetuidFastPathWhenNoChange(t *testing.T) {
 	ctx, _ := testCtx(t)
 	setuid := Default().Lookup("setuid")
-	ops, _ := setuid.Compile(ctx, []uint64{0}) // uid already 0
+	ops, _ := compileOps(ctx, setuid, []uint64{0}) // uid already 0
 	for _, op := range ops {
 		if op.Kind == kernel.OpLock && op.Lock == kernel.LockAudit {
 			t.Fatal("no-op setuid still audited")
 		}
 	}
-	ops, _ = setuid.Compile(ctx, []uint64{42})
+	ops, _ = compileOps(ctx, setuid, []uint64{42})
 	audited := false
 	for _, op := range ops {
 		if op.Kind == kernel.OpLock && op.Lock == kernel.LockAudit {
@@ -300,10 +350,10 @@ func TestMunmapUniprocessorBenefit(t *testing.T) {
 		for c := 0; c < cores; c++ {
 			proc := NewProc(eng)
 			ctx := &Ctx{Kern: k, Core: c, Proc: proc, Cov: NopCoverage{}}
-			mmapOps, _ := Default().Lookup("mmap").Compile(ctx, []uint64{1 << 16, 0})
-			munmapOps, _ := Default().Lookup("munmap").Compile(ctx, []uint64{1 << 16})
-			ops := append(append([]kernel.Op{}, mmapOps...), munmapOps...)
-			k.Submit(c, &kernel.Task{Ops: ops, AddrSpace: proc.MM,
+			var l kernel.OpList
+			Default().Lookup("mmap").Compile(ctx, &l, []uint64{1 << 16, 0})
+			Default().Lookup("munmap").Compile(ctx, &l, []uint64{1 << 16})
+			k.Submit(c, &kernel.Task{Ops: l.Ops(), AddrSpace: proc.MM,
 				OnDone: func(e sim.Time) {
 					if e > worst {
 						worst = e
@@ -325,8 +375,10 @@ func BenchmarkCompileOpen(b *testing.B) {
 	k := kernel.New(eng, kernel.Config{Name: "b", Cores: 1, MemGB: 1, Params: kernel.Params{Quiet: true}}, rng.New(1))
 	ctx := &Ctx{Kern: k, Core: 0, Proc: NewProc(eng), Cov: NopCoverage{}}
 	open := Default().Lookup("open")
+	var l kernel.OpList
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		open.Compile(ctx, []uint64{uint64(i % 64), uint64(i % 1024)})
+		l.Reset()
+		open.Compile(ctx, &l, []uint64{uint64(i % 64), uint64(i % 1024)})
 	}
 }

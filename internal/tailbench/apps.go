@@ -43,6 +43,10 @@ type App struct {
 	// IOPerReq is the expected number of block-device round trips per
 	// request (shore's disk residency).
 	IOPerReq float64
+
+	// mix is Mix resolved against the syscall table, built by Apps and
+	// read-only afterwards, so parallel cluster nodes can share the App.
+	mix *resolvedMix
 }
 
 // MixEntry weights one syscall in an app's per-request mix. Args, when
@@ -54,9 +58,51 @@ type MixEntry struct {
 	Args    []uint64
 }
 
-// Apps returns the paper's Table 4 workloads, in paper order.
+// resolvedMix is an app's request mix resolved once: the pick weights, and
+// per entry the spec and its arguments, pinned ones already reduced into
+// their generation domains.
+type resolvedMix struct {
+	weights []float64
+	calls   []mixCall
+}
+
+// mixCall is one resolved MixEntry.
+type mixCall struct {
+	spec *syscalls.Spec
+	// pinned holds the entry's pinned arguments, reduced into their
+	// domains; arguments past it are drawn per request.
+	pinned []uint64
+}
+
+// resolve looks up each mix entry's spec and reduces its pinned arguments,
+// exactly as Spec.Compile reduces a raw argument list.
+func resolve(mix []MixEntry) *resolvedMix {
+	tab := syscalls.Default()
+	r := &resolvedMix{weights: make([]float64, len(mix)), calls: make([]mixCall, len(mix))}
+	for i, m := range mix {
+		spec := tab.Lookup(m.Syscall)
+		if spec == nil {
+			panic("tailbench: unknown syscall in mix: " + m.Syscall)
+		}
+		if len(spec.Args) > maxArgs {
+			panic("tailbench: too many arguments in mix syscall: " + m.Syscall)
+		}
+		pinned := make([]uint64, min(len(m.Args), len(spec.Args)))
+		for j := range pinned {
+			pinned[j] = m.Args[j] % spec.Args[j].GenDomain()
+		}
+		r.weights[i] = m.Weight
+		r.calls[i] = mixCall{spec: spec, pinned: pinned}
+	}
+	return r
+}
+
+// Apps returns the paper's Table 4 workloads, in paper order, each with
+// its request mix resolved against the syscall table. The resolution is
+// taken once, here: changing an App's Mix afterwards does not change the
+// requests CompileRequest builds.
 func Apps() []*App {
-	return []*App{
+	apps := []*App{
 		{
 			Name: "xapian", Desc: "search engine",
 			ServiceMean: sim.FromMicros(900), ServiceSigma: 0.5,
@@ -144,6 +190,10 @@ func Apps() []*App {
 			IOPerReq: 1.6,
 		},
 	}
+	for _, a := range apps {
+		a.mix = resolve(a.Mix)
+	}
+	return apps
 }
 
 // AppByName returns the named app profile, or nil.
@@ -170,19 +220,27 @@ func (a *App) EstServiceTime() sim.Time {
 // service time sliced around the request's kernel entries. The returned ops
 // run as a single kernel task on one worker core. (User-space compute is
 // modeled as kernel ops with zero lock footprint — it consumes the core and
-// is subject to the same steal, which is physically right.)
+// is subject to the same steal, which is physically right.) Each request
+// gets its own op list, sized from the app's shape, so it allocates little
+// more than that list.
 func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
-	tab := syscalls.Default()
+	mix := a.mix
+	if mix == nil { // an App not built by Apps
+		mix = resolve(a.Mix)
+	}
 	service := sim.Time(src.LogNormal(logMeanFor(a.ServiceMean, a.ServiceSigma), a.ServiceSigma))
 	slices := a.SyscallsPerReq + 1
 	per := service / sim.Time(slices)
 
-	weights := make([]float64, len(a.Mix))
-	for i, m := range a.Mix {
-		weights[i] = m.Weight
+	ios := int(a.IOPerReq)
+	// The list and the argument scratch escape into the syscall compilers,
+	// so they share one allocation; the list's storage is the other.
+	var req struct {
+		l    kernel.OpList
+		args [maxArgs]uint64
 	}
-
-	var l kernel.OpList
+	l := &req.l
+	l.Grow(slices + a.SyscallsPerReq*opsPerCall + ios + 1)
 	for i := 0; i < a.SyscallsPerReq; i++ {
 		// User-space slice; spread the app's exit load across slices.
 		exits := 0
@@ -190,25 +248,16 @@ func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
 			exits = 1
 		}
 		l.UserCompute(per, exits)
-		m := a.Mix[rng.WeightedPick(src, weights)]
-		spec := tab.Lookup(m.Syscall)
-		if spec == nil {
-			panic("tailbench: unknown syscall in mix: " + m.Syscall)
+		m := &mix.calls[rng.WeightedPick(src, mix.weights)]
+		full := req.args[:len(m.spec.Args)]
+		copy(full, m.pinned)
+		for j := len(m.pinned); j < len(full); j++ {
+			full[j] = src.Uint64() % m.spec.Args[j].GenDomain()
 		}
-		args := make([]uint64, len(spec.Args))
-		for j := range args {
-			if m.Args != nil && j < len(m.Args) {
-				args[j] = m.Args[j]
-			} else {
-				args[j] = src.Uint64()
-			}
-		}
-		ops, _ := spec.Compile(ctx, args)
-		l.Append(ops...)
+		m.spec.CompilePrepared(ctx, l, full)
 	}
 	l.UserCompute(service-per*sim.Time(a.SyscallsPerReq), 0)
 	// Disk residency.
-	ios := int(a.IOPerReq)
 	if src.Float64() < a.IOPerReq-float64(ios) {
 		ios++
 	}
@@ -217,6 +266,15 @@ func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
 	}
 	return l.Ops()
 }
+
+// opsPerCall sizes a request's op list: the micro-ops one mix syscall
+// compiles to, with room to spare (over 5,000 requests of each app, the
+// largest averaged 5.1 per call). maxArgs is the widest call a mix may
+// use, as in the Linux syscall ABI.
+const (
+	opsPerCall = 6
+	maxArgs    = 6
+)
 
 // logMeanFor returns the lognormal mu such that the distribution's mean
 // equals mean.

@@ -74,6 +74,26 @@ func TestCompileRequestRuns(t *testing.T) {
 	}
 }
 
+// Apps resolves each mix once, so on a warmed context a request allocates
+// only its op list and its argument scratch, whatever its app.
+func TestCompileRequestAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	k := kernel.New(eng, kernel.Config{Name: "t", Cores: 2, MemGB: 2,
+		Params: kernel.Params{Quiet: true}}, rng.New(1))
+	src := rng.New(2)
+	for _, a := range Apps() {
+		proc := syscalls.NewProc(eng)
+		proc.VMAs = 8
+		ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: proc, Cov: syscalls.NopCoverage{}}
+		for i := 0; i < 50; i++ { // warm the fd table and lock pages
+			a.CompileRequest(ctx, src)
+		}
+		if n := testing.AllocsPerRun(100, func() { a.CompileRequest(ctx, src) }); n > 2 {
+			t.Errorf("%s: %v allocs per request, want at most 2", a.Name, n)
+		}
+	}
+}
+
 func TestShoreDoesIO(t *testing.T) {
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.Config{Name: "t", Cores: 1, MemGB: 2,

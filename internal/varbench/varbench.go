@@ -312,58 +312,66 @@ func Run(env *platform.Environment, c *corpus.Corpus, opts Options) *Result {
 	}
 	total := opts.Warmup + opts.Iterations
 
-	// One persistent runner per core: the replay arenas and continuation
-	// closures warm up once and are reused by every iteration. ResetProc
-	// before each program run reproduces exactly the fresh-process state a
-	// newly built runner would have, so results stay bit-identical.
-	runners := make([]*corpus.Runner, nCores)
-	for core := 0; core < nCores; core++ {
-		ref := env.Core(core)
-		runners[core] = corpus.NewRunner(env.Eng, ref.Kernel, ref.Core, tab)
-		// The tenant behind a global core index is the same workload in
-		// every environment — only the kernel boundary around it moves —
-		// which is what makes isolation scores comparable across the sweep.
-		runners[core].Tenant = core
-	}
-
 	// Each core walks the same schedule: for each program, for each
 	// iteration: barrier; run program; continue. Barriers keep the cores in
-	// lockstep, so a single (program, iteration) cursor per core suffices.
-	var launch func(core, prog, iter int)
-	launch = func(core, prog, iter int) {
-		if prog >= len(c.Programs) {
+	// lockstep, so a (program, iteration) cursor per core suffices. Each
+	// core keeps one persistent runner — its replay arenas, process and op
+	// list warm up once — and three continuations built once: arrive
+	// (barrier release: run the cursor's program), perCall (record a
+	// latency) and next (advance the cursor, arrive at the next barrier).
+	// ResetProc before each program run reproduces exactly the
+	// fresh-process state a newly built runner would have, so results stay
+	// bit-identical.
+	type coreRun struct {
+		r            *corpus.Runner
+		prog, iter   int
+		arrive, next func()
+		perCall      func(i int, lat sim.Time)
+	}
+	// start arrives at the barrier before cr's current (prog, iter), or
+	// retires the core when its schedule is done.
+	start := func(cr *coreRun) {
+		if cr.prog >= len(compiled) || total == 0 {
 			coresLeft--
 			if coresLeft == 0 && faultRt != nil {
 				faultRt.Stop()
 			}
 			return
 		}
-		if iter >= total {
-			launch(core, prog+1, 0)
-			return
-		}
-		barrier.Arrive(func() {
-			r := runners[core]
-			r.ResetProc()
-			if opts.Trace != nil {
-				pi := prog
-				r.Label = func(call int, name string) string {
-					return SiteLabel(pi, call, name)
-				}
-			}
-			record := iter >= opts.Warmup
-			base := siteBase[prog]
-			r.RunCompiled(compiled[prog],
-				func(i int, lat sim.Time) {
-					if record {
-						res.Sites[base+i].Sample.Add(lat.Micros())
-					}
-				},
-				func() { launch(core, prog, iter+1) })
-		})
+		barrier.Arrive(cr.arrive)
 	}
-	for core := 0; core < nCores; core++ {
-		launch(core, 0, 0)
+	cores := make([]coreRun, nCores)
+	for core := range cores {
+		cr := &cores[core]
+		ref := env.Core(core)
+		cr.r = corpus.NewRunner(env.Eng, ref.Kernel, ref.Core, tab)
+		// The tenant behind a global core index is the same workload in
+		// every environment — only the kernel boundary around it moves —
+		// which is what makes isolation scores comparable across the sweep.
+		cr.r.Tenant = core
+		if opts.Trace != nil {
+			cr.r.Label = func(call int, name string) string {
+				return SiteLabel(cr.prog, call, name)
+			}
+		}
+		cr.arrive = func() {
+			cr.r.ResetProc()
+			cr.r.RunCompiled(compiled[cr.prog], cr.perCall, cr.next)
+		}
+		cr.perCall = func(i int, lat sim.Time) {
+			if cr.iter >= opts.Warmup {
+				res.Sites[siteBase[cr.prog]+i].Sample.Add(lat.Micros())
+			}
+		}
+		cr.next = func() {
+			if cr.iter++; cr.iter == total {
+				cr.prog, cr.iter = cr.prog+1, 0
+			}
+			start(cr)
+		}
+	}
+	for core := range cores {
+		start(&cores[core])
 	}
 	env.Eng.Run()
 	return res
