@@ -165,15 +165,7 @@ func main() {
 		if cache != nil {
 			fmt.Fprintln(os.Stderr, "varbench: -contention needs live kernels; running uncached")
 		}
-		eng := ksa.NewEngine()
-		switch kind {
-		case ksa.KindNative:
-			env = ksa.NewNativeEnvironment(eng, m, *seed)
-		case ksa.KindVMs:
-			env = ksa.NewVMEnvironment(eng, m, *units, *seed)
-		case ksa.KindContainers:
-			env = ksa.NewContainerEnvironment(eng, m, *units, *seed)
-		}
+		env = spec.Build(ksa.NewEngine(), m, *seed)
 		res = ksa.RunVarbench(env, c, opts)
 	} else {
 		res = ksa.RunVarbenchCached(cache, *cacheVerify, spec, m, c, opts)

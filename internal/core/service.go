@@ -21,29 +21,20 @@ import (
 // "specialized:8" is accepted as an alias. Unit counts must be positive;
 // native takes none.
 func ParseEnvSpec(s string) (EnvSpec, error) {
-	if s == "native" {
-		return EnvSpec{Kind: platform.KindNative}, nil
-	}
 	// "specialized:N" is the per-tenant orchestration spelling; normalize
 	// it to the canonical dash form before the generic cut.
 	if units, ok := strings.CutPrefix(s, "specialized:"); ok {
 		s = "specialized-" + units
 	}
-	name, units, ok := strings.Cut(s, "-")
-	var kind platform.EnvKind
-	switch name {
-	case "kvm":
-		kind = platform.KindVMs
-	case "docker":
-		kind = platform.KindContainers
-	case "lightvm":
-		kind = platform.KindLightVMs
-	case "specialized":
-		kind = platform.KindSpecialized
-	default:
-		return EnvSpec{}, fmt.Errorf("unknown environment %q (want native, kvm-N, docker-N, lightvm-N, or specialized-N)", s)
+	name, units, hasUnits := strings.Cut(s, "-")
+	kind, ok := platform.ParseKind(name)
+	if !ok || (kind == platform.KindNative && hasUnits) {
+		return EnvSpec{}, fmt.Errorf("unknown environment %q (want %s)", s, envForms())
 	}
-	if !ok {
+	if kind == platform.KindNative {
+		return EnvSpec{Kind: kind}, nil
+	}
+	if !hasUnits {
 		return EnvSpec{}, fmt.Errorf("environment %q needs a unit count (e.g. %q)", s, s+"-8")
 	}
 	n, err := strconv.Atoi(units)
@@ -51,6 +42,20 @@ func ParseEnvSpec(s string) (EnvSpec, error) {
 		return EnvSpec{}, fmt.Errorf("environment %q: bad unit count %q", s, units)
 	}
 	return EnvSpec{Kind: kind, Units: n}, nil
+}
+
+// envForms lists the spec forms ParseEnvSpec accepts, in kind order:
+// "native, kvm-N, ..., or specialized-N".
+func envForms() string {
+	var forms []string
+	for _, k := range platform.Kinds() {
+		if k == platform.KindNative {
+			forms = append(forms, k.String())
+		} else {
+			forms = append(forms, k.String()+"-N")
+		}
+	}
+	return strings.Join(forms[:len(forms)-1], ", ") + ", or " + forms[len(forms)-1]
 }
 
 // ParseEnvSpecs parses a list of spec strings, rejecting duplicates (two

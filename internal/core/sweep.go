@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
@@ -45,53 +44,21 @@ func (e EnvSpec) String() string {
 	return fmt.Sprintf("%s-%d", e.Kind, e.Units)
 }
 
-// Check reports whether the spec can be built on m: the machine needs at
-// least one core and a positive, finite amount of memory, VM-style
-// partitions (kvm, lightvm, specialized) must divide its cores evenly, and
-// containers need at least one unit. A spec that fails this check makes
-// Build panic or yields results for a machine that cannot exist, so every
-// boundary that accepts specs from outside (flags, HTTP bodies) checks
-// them first.
+// Check reports whether the spec can be built on m (platform.Check): a
+// spec that fails it makes Build panic, so every boundary that accepts
+// specs from outside (flags, HTTP bodies) checks them first.
 func (e EnvSpec) Check(m platform.Machine) error {
-	if m.Cores < 1 {
-		return fmt.Errorf("machine has %d cores, want at least 1", m.Cores)
-	}
-	if !(m.MemGB > 0) || math.IsInf(m.MemGB, 1) {
-		return fmt.Errorf("machine has %g GB of memory, want a positive finite amount", m.MemGB)
-	}
-	switch e.Kind {
-	case platform.KindVMs, platform.KindLightVMs, platform.KindSpecialized:
-		if e.Units < 1 || m.Cores%e.Units != 0 {
-			return fmt.Errorf("%s: %d units do not evenly partition %d cores", e, e.Units, m.Cores)
-		}
-	case platform.KindContainers:
-		if e.Units < 1 {
-			return fmt.Errorf("%s: want at least 1 container", e)
-		}
-	}
-	return nil
+	return platform.Check(e.Kind, m, e.Units)
 }
 
 // Build constructs the environment on eng, drawing all of its construction
 // randomness from seed. The spec must pass Check(m).
 func (e EnvSpec) Build(eng *sim.Engine, m platform.Machine, seed uint64) *platform.Environment {
-	src := rng.New(seed)
-	switch e.Kind {
-	case platform.KindVMs:
-		return platform.VMs(eng, m, e.Units, src)
-	case platform.KindLightVMs:
-		return platform.LightVMs(eng, m, e.Units, src)
-	case platform.KindContainers:
-		return platform.Containers(eng, m, e.Units, src)
-	case platform.KindSpecialized:
-		var red *kernel.Reduction
-		if e.Profile != nil {
-			red = specialize.Specialize(e.Profile, syscalls.Default())
-		}
-		return platform.Specialized(eng, m, e.Units, src, red)
-	default:
-		return platform.Native(eng, m, src)
+	var red *kernel.Reduction
+	if e.Kind == platform.KindSpecialized && e.Profile != nil {
+		red = specialize.Specialize(e.Profile, syscalls.Default())
 	}
+	return platform.New(eng, e.Kind, m, e.Units, rng.New(seed), red)
 }
 
 // SweepOptions configures RunSweep: a dense environment × corpus × trial

@@ -213,14 +213,11 @@ func Run(o Options) *Result {
 	)
 	switch o.Surface {
 	case Containers:
-		par := kernel.DefaultParams(machine.Cores, machine.MemGB)
-		// Same tenancy densification as platform.Containers, scaled by the
-		// admission width (the concurrently live tenant count).
-		par.NoiseMeanGap = sim.Time(float64(par.NoiseMeanGap) / (1 + 0.012*float64(o.Slots)))
-		par.NoiseMaxBurst = sim.Time(float64(par.NoiseMaxBurst) * (1 + 0.004*float64(o.Slots)))
-		par.EntryOverhead = 40 * sim.Nanosecond
+		// The docker environment's tenancy shaping, scaled by the admission
+		// width (the concurrently live tenant count).
 		shared = kernel.New(eng, kernel.Config{
-			Name: "dock", Cores: machine.Cores, MemGB: machine.MemGB, Params: par,
+			Name: "dock", Cores: machine.Cores, MemGB: machine.MemGB,
+			Params: platform.ContainerParams(machine, o.Slots),
 		}, kernSeeds.Split(0x444f434b))
 	case KVM:
 		hostBlk = sim.NewSemaphore(eng, "host-blk", 8)

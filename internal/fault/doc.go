@@ -7,12 +7,13 @@
 // handler debt.
 //
 // A Plan is a small scenario DSL — which injectors, against which resource
-// class, how often, how big — with a canonical text encoding so plans can
-// round-trip through flags and job keys. All randomness comes from an
-// rng.Source the caller derives from the experiment seed, so serial and
-// parallel runs of the same plan are bit-identical. Every injected event is
-// tagged through internal/trace, letting blame decomposition separate
-// *injected* from *emergent* wait time.
+// class, how often, how big. Plans reach the tools by preset name (the
+// -fault flags, the daemon's JobSpec.Fault), never as text; Encode renders
+// a plan's canonical text only so Sig can hash it. All randomness comes
+// from an rng.Source the caller derives from the experiment seed, so serial
+// and parallel runs of the same plan are bit-identical. Every injected
+// event is tagged through internal/trace, letting blame decomposition
+// separate *injected* from *emergent* wait time.
 //
 // Plan.Sig is the plan's deterministic fingerprint. It appears in sweep job
 // keys (distinct plans derive distinct trial seeds) and in result-cache

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"ksa/internal/sim"
 )
 
 // Encode renders the plan in its canonical text form:
@@ -15,8 +13,8 @@ import (
 //	...
 //
 // Durations are integer nanoseconds and alpha uses Go's shortest
-// round-tripping float format, so Decode(Encode(p)) reproduces p exactly
-// and Encode(Decode(s)) is a canonical form for any accepted s.
+// round-tripping float format, so two valid plans share an encoding exactly
+// when they share every field. Sig hashes it into job and cache keys.
 func (p *Plan) Encode() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan name=%s scope=%s\n", p.Name, p.Scope)
@@ -26,102 +24,4 @@ func (p *Plan) Encode() string {
 			strconv.FormatFloat(inj.Alpha, 'g', -1, 64))
 	}
 	return sb.String()
-}
-
-// Decode parses the text form produced by Encode. It accepts extra blank
-// lines and repeated spaces between fields but is otherwise strict: unknown
-// directives, unknown keys, and invalid plans are errors.
-func Decode(s string) (Plan, error) {
-	var p Plan
-	sawPlan := false
-	for ln, line := range strings.Split(s, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		kv := func(f string) (string, string, error) {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				return "", "", fmt.Errorf("fault: line %d: %q is not key=value", ln+1, f)
-			}
-			return k, v, nil
-		}
-		switch fields[0] {
-		case "plan":
-			if sawPlan {
-				return Plan{}, fmt.Errorf("fault: line %d: duplicate plan directive", ln+1)
-			}
-			sawPlan = true
-			for _, f := range fields[1:] {
-				k, v, err := kv(f)
-				if err != nil {
-					return Plan{}, err
-				}
-				switch k {
-				case "name":
-					p.Name = v
-				case "scope":
-					p.Scope = v
-				default:
-					return Plan{}, fmt.Errorf("fault: line %d: unknown plan key %q", ln+1, k)
-				}
-			}
-		case "inj":
-			if !sawPlan {
-				return Plan{}, fmt.Errorf("fault: line %d: inj before plan directive", ln+1)
-			}
-			var inj Injector
-			for _, f := range fields[1:] {
-				k, v, err := kv(f)
-				if err != nil {
-					return Plan{}, err
-				}
-				switch k {
-				case "kind":
-					kind, ok := parseKind(v)
-					if !ok {
-						return Plan{}, fmt.Errorf("fault: line %d: unknown kind %q", ln+1, v)
-					}
-					inj.Kind = kind
-				case "class":
-					class, ok := parseClass(v)
-					if !ok {
-						return Plan{}, fmt.Errorf("fault: line %d: unknown class %q", ln+1, v)
-					}
-					inj.Class = class
-				case "gap", "min", "max":
-					n, err := strconv.ParseInt(v, 10, 64)
-					if err != nil {
-						return Plan{}, fmt.Errorf("fault: line %d: bad %s: %v", ln+1, k, err)
-					}
-					switch k {
-					case "gap":
-						inj.Gap = sim.Time(n)
-					case "min":
-						inj.MinDur = sim.Time(n)
-					case "max":
-						inj.MaxDur = sim.Time(n)
-					}
-				case "alpha":
-					a, err := strconv.ParseFloat(v, 64)
-					if err != nil {
-						return Plan{}, fmt.Errorf("fault: line %d: bad alpha: %v", ln+1, err)
-					}
-					inj.Alpha = a
-				default:
-					return Plan{}, fmt.Errorf("fault: line %d: unknown inj key %q", ln+1, k)
-				}
-			}
-			p.Injectors = append(p.Injectors, inj)
-		default:
-			return Plan{}, fmt.Errorf("fault: line %d: unknown directive %q", ln+1, fields[0])
-		}
-	}
-	if !sawPlan {
-		return Plan{}, fmt.Errorf("fault: no plan directive")
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
 }

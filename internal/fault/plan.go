@@ -42,15 +42,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-func parseKind(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
-}
-
 // Class names a target resource class — a set of kernel locks that one real
 // noise source would plausibly contend.
 type Class uint8
@@ -80,15 +71,6 @@ func (c Class) String() string {
 		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", int(c))
-}
-
-func parseClass(s string) (Class, bool) {
-	for i, n := range classNames {
-		if n == s {
-			return Class(i), true
-		}
-	}
-	return 0, false
 }
 
 // classLocks maps a class to the kernel locks it targets. Order matters for
@@ -145,7 +127,8 @@ type Plan struct {
 
 // Validate checks the plan is well-formed: at least one injector, positive
 // gaps, ordered positive magnitudes, finite alpha > 0, and names free of
-// whitespace (they travel through single-line job keys and the text codec).
+// whitespace (they travel through single-line job keys and the canonical
+// encoding Sig hashes).
 func (p *Plan) Validate() error {
 	if strings.ContainsAny(p.Name, " \t\r\n=") || p.Name == "" {
 		return fmt.Errorf("fault: plan name %q must be non-empty without whitespace or '='", p.Name)

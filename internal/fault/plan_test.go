@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -44,58 +43,47 @@ func TestPresetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// The presets' signatures are part of every faulted job key and cache key,
+// so a change to Encode or to a preset shows here before it silently
+// re-keys stored results.
+func TestPresetSigsGolden(t *testing.T) {
+	want := map[string]string{
+		"fsflush":   "fsflush-39624ad3",
+		"memstorm":  "memstorm-525ace7b",
+		"mixed":     "mixed-e2d57ebf",
+		"tickstorm": "tickstorm-d5db2796",
+		"tlbstorm":  "tlbstorm-d2ead120",
+	}
+	if len(Presets()) != len(want) {
+		t.Fatalf("presets %v, want the %d pinned here", Presets(), len(want))
+	}
 	for _, n := range Presets() {
 		p, _ := Preset(n)
-		enc := p.Encode()
-		got, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("Decode(Encode(%s)): %v\n%s", n, err, enc)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Fatalf("round trip of %s: got %+v want %+v", n, got, p)
-		}
-		if got.Encode() != enc {
-			t.Fatalf("re-encode of %s not byte-identical", n)
+		if got := p.Sig(); got != want[n] {
+			t.Errorf("Preset(%q).Sig() = %q, want %q", n, got, want[n])
 		}
 	}
 }
 
-func TestDecodeScopeAndFractionalAlpha(t *testing.T) {
-	p := Plan{Name: "x", Scope: "vm3", Injectors: []Injector{{
-		Kind: DaemonStorm, Class: ClassFS,
-		Gap: 123456 * sim.Nanosecond, MinDur: 7, MaxDur: 8, Alpha: 1.2345678901234,
-	}}}
-	got, err := Decode(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("got %+v want %+v", got, p)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"",                         // no plan directive
-		"inj kind=jitter",          // inj before plan
-		"plan name=a\nplan name=b", // duplicate plan + no injectors
-		"plan name=a",              // no injectors
-		"plan name=a\nwat",         // unknown directive
-		"plan name=a\ninj kind=nope gap=1 min=1 max=2 alpha=1",              // bad kind
-		"plan name=a\ninj kind=jitter class=nope gap=1 min=1 max=2 alpha=1", // bad class
-		"plan name=a\ninj kind=jitter gap=0 min=1 max=2 alpha=1",            // zero gap
-		"plan name=a\ninj kind=jitter gap=1 min=5 max=2 alpha=1",            // min > max
-		"plan name=a\ninj kind=jitter gap=1 min=1 max=2 alpha=0",            // bad alpha
-		"plan name=a\ninj kind=jitter gap=x min=1 max=2 alpha=1",            // bad int
-		"plan name=a\ninj kind jitter",                                      // not key=value
-		"plan nick=a",                                                       // unknown plan key
-		"plan name=a\ninj kind=jitter gap=1 min=1 max=2 alpha=1 bogus=3",    // unknown inj key
+func TestValidateRejectsMalformedPlans(t *testing.T) {
+	ok := Injector{Kind: Jitter, Gap: 1, MinDur: 1, MaxDur: 2, Alpha: 1}
+	cases := []struct {
+		name string
+		injs []Injector
+	}{
+		{"no injectors", nil},
+		{"zero gap", []Injector{{Kind: Jitter, Gap: 0, MinDur: 1, MaxDur: 2, Alpha: 1}}},
+		{"min > max", []Injector{{Kind: Jitter, Gap: 1, MinDur: 5, MaxDur: 2, Alpha: 1}}},
+		{"alpha 0", []Injector{{Kind: Jitter, Gap: 1, MinDur: 1, MaxDur: 2, Alpha: 0}}},
 	}
 	for _, c := range cases {
-		if _, err := Decode(c); err == nil {
-			t.Errorf("Decode(%q) succeeded, want error", c)
+		p := Plan{Name: "a", Injectors: c.injs}
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, p)
 		}
+	}
+	if p := (Plan{Name: "a", Injectors: []Injector{ok}}); p.Validate() != nil {
+		t.Fatalf("Validate rejected the well-formed plan %+v", p)
 	}
 }
 

@@ -41,10 +41,6 @@ type Reduction struct {
 	// MemScale in (0, 1] shrinks the cache working set to the profiled
 	// footprint: surface-scaled params are derived from MemGB*MemScale.
 	MemScale float64
-
-	// Sig is the generating profile's signature (participates in result
-	// cache keys via the environment fingerprint).
-	Sig string
 }
 
 // NewReduction returns an empty reduction (nothing mapped, nothing

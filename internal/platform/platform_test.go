@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"ksa/internal/kernel"
@@ -164,7 +166,7 @@ func TestVirtTaxBounded(t *testing.T) {
 
 func TestLightVMsLayout(t *testing.T) {
 	eng := sim.NewEngine()
-	e := LightVMs(eng, PaperMachine, 4, rng.New(1))
+	e := New(eng, KindLightVMs, PaperMachine, 4, rng.New(1), nil)
 	if e.Kind != KindLightVMs || e.Kind.String() != "lightvm" {
 		t.Fatal("wrong kind")
 	}
@@ -193,5 +195,131 @@ func TestFromKernelWraps(t *testing.T) {
 	e := FromKernel(eng, k)
 	if e.NumCores() != 4 || e.Kernels[0] != k || e.Core(3).Core != 3 {
 		t.Fatal("FromKernel wiring wrong")
+	}
+}
+
+// New reproduces, kind by kind, the layouts of the per-kind builders it
+// replaced: environment and kernel names, unit counts, each kernel's
+// share of the machine and its seed (kernel i draws from
+// src.Split(salt+i)), the core map, and the block-queue wiring.
+func TestNewLayouts(t *testing.T) {
+	m := Machine{Cores: 8, MemGB: 4}
+	red := kernel.NewReduction(16)
+	cases := []struct {
+		kind    EnvKind
+		units   int
+		name    string
+		kernels []string
+		salt    uint64
+		mem     float64 // per kernel
+		host    int     // host block queue slots, 0 = none
+		node    int     // node-wide block queue slots, 0 = a private queue per kernel
+	}{
+		{KindNative, 4, "native", []string{"native"}, 0x4e415456, 4, 0, 0},
+		{KindVMs, 4, "kvm-4x2", []string{"vm0", "vm1", "vm2", "vm3"}, 0x564d, 1, 8, 0},
+		{KindContainers, 4, "docker-4x2", []string{"docker-4"}, 4 + 0x444f434b, 4, 0, 0},
+		{KindLightVMs, 2, "lightvm-2x4", []string{"microvm0", "microvm1"}, 0x4c56, 2, 8, 0},
+		{KindSpecialized, 2, "spec-2x4", []string{"spec0", "spec1"}, 0x5350, 2, 0, 4},
+	}
+	for _, tc := range cases {
+		e := New(sim.NewEngine(), tc.kind, m, tc.units, rng.New(3), red)
+		var names []string
+		for _, k := range e.Kernels {
+			names = append(names, k.Name())
+		}
+		wantUnits := tc.units
+		if tc.kind == KindNative {
+			wantUnits = 1
+		}
+		if e.Name != tc.name || e.Kind != tc.kind || e.Units != wantUnits || !slices.Equal(names, tc.kernels) {
+			t.Errorf("%v: got %s kind %v, %d units, kernels %v; want %s, %d units, kernels %v",
+				tc.kind, e.Name, e.Kind, e.Units, names, tc.name, wantUnits, tc.kernels)
+			continue
+		}
+		per := m.Cores / len(e.Kernels)
+		if e.NumCores() != m.Cores {
+			t.Errorf("%v: %d cores in the core map, want %d", tc.kind, e.NumCores(), m.Cores)
+		}
+		for i := 0; i < e.NumCores(); i++ {
+			if ref := e.Core(i); ref.Kernel != e.Kernels[i/per] || ref.Core != i%per {
+				t.Errorf("%v: core %d maps to %s/%d", tc.kind, i, ref.Kernel.Name(), ref.Core)
+			}
+		}
+		seeds := rng.New(3)
+		for i, k := range e.Kernels {
+			if k.NumCores() != per || k.MemGB() != tc.mem {
+				t.Errorf("%v: %s has %d cores and %v GB, want %d and %v", tc.kind, k.Name(), k.NumCores(), k.MemGB(), per, tc.mem)
+			}
+			// Core 0's stream matches a kernel built from the expected split.
+			var virt *kernel.VirtModel
+			if k.Virtualized() {
+				virt = DefaultVirtModel(nil)
+			}
+			want := kernel.New(sim.NewEngine(), kernel.Config{Name: "ref", Cores: per, MemGB: tc.mem, Virt: virt},
+				seeds.Split(tc.salt+uint64(i)))
+			if k.Rng(0).Uint64() != want.Rng(0).Uint64() {
+				t.Errorf("%v: %s is not seeded from src.Split(%#x+%d)", tc.kind, k.Name(), tc.salt, i)
+			}
+			if k.Virtualized() != (tc.host > 0) || k.HostBlockDevice() != e.HostBlock {
+				t.Errorf("%v: %s relays through %v, want the environment's host queue %v", tc.kind, k.Name(), k.HostBlockDevice(), e.HostBlock)
+			}
+			if (k.Reduction() == red) != (tc.kind == KindSpecialized) {
+				t.Errorf("%v: %s has reduction %p", tc.kind, k.Name(), k.Reduction())
+			}
+			dev := k.BlockDevice()
+			if tc.node > 0 {
+				if dev != e.Kernels[0].BlockDevice() || dev.Name() != "node-blk" || dev.Cap() != tc.node {
+					t.Errorf("%v: %s queues on %s/%d, want the shared node-blk/%d", tc.kind, k.Name(), dev.Name(), dev.Cap(), tc.node)
+				}
+			} else if dev.Name() != k.Name()+"/blkdev" {
+				t.Errorf("%v: %s queues on %s, want its private queue", tc.kind, k.Name(), dev.Name())
+			}
+		}
+		if tc.host > 0 {
+			if e.HostBlock == nil || e.HostBlock.Name() != "host-blk" || e.HostBlock.Cap() != tc.host {
+				t.Errorf("%v: host block queue %v, want host-blk/%d", tc.kind, e.HostBlock, tc.host)
+			}
+		} else if e.HostBlock != nil {
+			t.Errorf("%v: unexpected host block queue", tc.kind)
+		}
+		if tc.kind == KindContainers && e.Kernels[0].Params() != ContainerParams(m, tc.units) {
+			t.Errorf("docker: shared kernel params %+v, want ContainerParams", e.Kernels[0].Params())
+		}
+	}
+}
+
+// New panics exactly on the layouts Check rejects.
+func TestNewPanicsIffCheckFails(t *testing.T) {
+	kinds := append(Kinds(), EnvKind(len(Kinds())))
+	for _, kind := range kinds {
+		for _, mem := range []float64{4, 0, math.NaN()} {
+			for _, cores := range []int{0, 1, 3, 4, 8} {
+				for _, units := range []int{-1, 0, 1, 2, 3, 4, 8} {
+					m := Machine{Cores: cores, MemGB: mem}
+					err := Check(kind, m, units)
+					panicked := func() (p bool) {
+						defer func() { p = recover() != nil }()
+						New(sim.NewEngine(), kind, m, units, rng.New(1), nil)
+						return false
+					}()
+					if panicked != (err != nil) {
+						t.Errorf("New(%v, %+v, %d): panicked=%t, Check=%v", kind, m, units, panicked, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestParseKindInvertsString(t *testing.T) {
+	for _, k := range Kinds() {
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %t; want %v", k.String(), got, ok, k)
+		}
+	}
+	for _, s := range []string{"", "xen", "KVM", "spec", "docker-4", EnvKind(len(Kinds())).String()} {
+		if k, ok := ParseKind(s); ok {
+			t.Errorf("ParseKind(%q) = %v, want rejected", s, k)
+		}
 	}
 }

@@ -206,8 +206,6 @@ func Specialize(p *Profile, tab *syscalls.Table) *kernel.Reduction {
 	// streams, and changing them would break replay bit-identity.
 	foot := float64(p.MaxFDs) + 4*float64(p.MaxVMAs) + float64(p.BrkKB)/1024
 	red.MemScale = clamp(foot/256, 0.1, 1)
-
-	red.Sig = p.Sig()
 	return red
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DecadeBuckets are the latency thresholds of Tables 2 and 3, in
 // microseconds: 1µs, 10µs, 100µs, 1ms, 10ms. A sixth implicit bucket
@@ -66,66 +63,4 @@ func (b Breakdown) Row() []string {
 	}
 	cells = append(cells, fmt.Sprintf("%.2f", b.Over))
 	return cells
-}
-
-// Histogram is a fixed-boundary histogram over latencies, used for density
-// summaries and CDF dumps.
-type Histogram struct {
-	Bounds []float64 // ascending upper bounds; final bucket is unbounded
-	Counts []int     // len(Bounds)+1
-	total  int
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{Bounds: b, Counts: make([]int, len(bounds)+1)}
-}
-
-// LogHistogram builds a histogram with n log-spaced bounds spanning
-// [lo, hi] (both > 0).
-func LogHistogram(lo, hi float64, n int) *Histogram {
-	if lo <= 0 || hi <= lo || n < 2 {
-		panic("stats: bad log histogram parameters")
-	}
-	bounds := make([]float64, n)
-	ratio := hi / lo
-	for i := range bounds {
-		bounds[i] = lo * math.Pow(ratio, float64(i)/float64(n-1))
-	}
-	return NewHistogram(bounds)
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	idx := len(h.Bounds)
-	for i, b := range h.Bounds {
-		if v <= b {
-			idx = i
-			break
-		}
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fractions returns per-bucket fractions of the total (zeroes if empty).
-func (h *Histogram) Fractions() []float64 {
-	fr := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return fr
-	}
-	for i, c := range h.Counts {
-		fr[i] = float64(c) / float64(h.total)
-	}
-	return fr
 }

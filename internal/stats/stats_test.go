@@ -246,71 +246,6 @@ func TestBreakdownProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 50, 500} {
-		h.Observe(v)
-	}
-	want := []int{1, 1, 1, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("Counts[%d] = %d, want %d", i, c, want[i])
-		}
-	}
-	fr := h.Fractions()
-	for _, f := range fr {
-		if f != 0.25 {
-			t.Errorf("Fractions = %v", fr)
-		}
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending bounds did not panic")
-		}
-	}()
-	NewHistogram([]float64{1, 1})
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := LogHistogram(1, 10000, 5)
-	if len(h.Bounds) != 5 {
-		t.Fatalf("bounds = %v", h.Bounds)
-	}
-	if math.Abs(h.Bounds[0]-1) > 1e-9 || math.Abs(h.Bounds[4]-10000) > 1e-6 {
-		t.Errorf("log bounds endpoints: %v", h.Bounds)
-	}
-	// Check log spacing: constant ratio.
-	r := h.Bounds[1] / h.Bounds[0]
-	for i := 2; i < 5; i++ {
-		if math.Abs(h.Bounds[i]/h.Bounds[i-1]-r) > 1e-6 {
-			t.Errorf("not log-spaced: %v", h.Bounds)
-		}
-	}
-}
-
-func TestLogHistogramBadParamsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad params did not panic")
-		}
-	}()
-	LogHistogram(0, 10, 5)
-}
-
-func TestEmptyHistogramFractions(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	fr := h.Fractions()
-	if fr[0] != 0 || fr[1] != 0 {
-		t.Errorf("empty fractions = %v", fr)
-	}
-}
-
 func TestViolinSummary(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 100; i++ {

@@ -50,17 +50,7 @@ type SingleNodeConfig struct {
 func MeasureServiceTime(kind platform.EnvKind, app *App, machine platform.Machine, parts int, seed uint64) sim.Time {
 	eng := sim.NewEngine()
 	src := rng.New(seed ^ 0xca11b)
-	var env *platform.Environment
-	switch kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, machine, parts, src)
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, machine, parts, src)
-	case platform.KindContainers:
-		env = platform.Containers(eng, machine, parts, src)
-	default:
-		env = platform.Native(eng, machine, src)
-	}
+	env := platform.New(eng, kind, machine, parts, src, nil)
 	ref := env.Core(0)
 	proc := syscalls.NewProc(eng)
 	proc.Salt = 0x7357
@@ -98,19 +88,14 @@ func RunSingleNode(cfg SingleNodeConfig) Measurement {
 	if cfg.Contended && cfg.NoiseCorpus == nil {
 		panic("tailbench: contended run needs a NoiseCorpus")
 	}
-	eng := sim.NewEngine()
-	src := rng.New(cfg.Seed)
-	var env *platform.Environment
 	switch cfg.Kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, cfg.Machine, cfg.Partitions, src)
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, cfg.Machine, cfg.Partitions, src)
-	case platform.KindContainers:
-		env = platform.Containers(eng, cfg.Machine, cfg.Partitions, src)
+	case platform.KindVMs, platform.KindLightVMs, platform.KindContainers:
 	default:
 		panic(fmt.Sprintf("tailbench: unsupported env kind %v", cfg.Kind))
 	}
+	eng := sim.NewEngine()
+	src := rng.New(cfg.Seed)
+	env := platform.New(eng, cfg.Kind, cfg.Machine, cfg.Partitions, src, nil)
 	per := cfg.Machine.Cores / cfg.Partitions
 	appCores := make([]platform.CoreRef, 0, per)
 	for i := 0; i < per; i++ {

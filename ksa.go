@@ -15,7 +15,7 @@
 // environment, and regenerate any of the paper's tables and figures.
 //
 //	c, _ := ksa.GenerateCorpus(ksa.CorpusOptions{Seed: 1, TargetPrograms: 40})
-//	env := ksa.NewNativeEnvironment(ksa.NewEngine(), ksa.PaperMachine, 1)
+//	env := ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), ksa.PaperMachine, 1)
 //	res := ksa.RunVarbench(env, c, ksa.VarbenchOptions{Iterations: 10})
 //	fmt.Println(res.P99Breakdown().Row())
 //
@@ -36,10 +36,8 @@ import (
 	"ksa/internal/distsweep"
 	"ksa/internal/fault"
 	"ksa/internal/fuzz"
-	"ksa/internal/kernel"
 	"ksa/internal/platform"
 	"ksa/internal/resultcache"
-	"ksa/internal/rng"
 	"ksa/internal/runner"
 	"ksa/internal/sim"
 	"ksa/internal/specialize"
@@ -65,8 +63,6 @@ type (
 	EnvKind = platform.EnvKind
 	// Corpus is a collection of system-call programs.
 	Corpus = corpus.Corpus
-	// Program is one sequence of system calls.
-	Program = corpus.Program
 	// CorpusOptions configures coverage-guided generation.
 	CorpusOptions = fuzz.Options
 	// VarbenchOptions configures the measurement harness.
@@ -85,13 +81,6 @@ type (
 	Scale = core.Scale
 	// TraceOptions configures kernel tracing (set VarbenchOptions.Trace).
 	TraceOptions = trace.Options
-	// Tracer is the kernel observer that aggregates one kernel's lockstat
-	// and blame records.
-	Tracer = trace.Tracer
-	// BlameRecord decomposes one over-threshold task's wall time.
-	BlameRecord = trace.BlameRecord
-	// CauseTotal aggregates one blame cause across records.
-	CauseTotal = trace.CauseTotal
 	// BlameResult is a traced varbench run (RunBlame).
 	BlameResult = core.BlameResult
 	// EnvSpec names one environment of a sweep ("native", "kvm-8", ...).
@@ -101,40 +90,22 @@ type (
 	// SweepResult holds a sweep's runs in job-key order plus fan-out
 	// metrics.
 	SweepResult = core.SweepResult
-	// SweepRun is one (environment, trial) cell of a sweep.
-	SweepRun = core.SweepRun
-	// RunnerMetrics reports a parallel fan-out's wall/queue accounting.
-	RunnerMetrics = runner.Metrics
 	// FaultPlan is a deterministic interference-injection scenario
 	// (set VarbenchOptions.Faults / SweepOptions.Faults / ClusterConfig.Faults).
 	FaultPlan = fault.Plan
 	// FaultInjector is one interference source within a plan.
 	FaultInjector = fault.Injector
-	// InterferenceResult is the fault-injection surface-area ablation.
-	InterferenceResult = core.InterferenceResult
-	// InterferenceRow is one environment's amplification under a plan.
-	InterferenceRow = core.InterferenceRow
 	// SpecializeResult is the profile-guided specialization experiment's
 	// output: reduction shape, soundness proof, and latency comparison.
 	SpecializeResult = core.SpecializeResult
-	// IsolationResult is the tenant×lock contention experiment's output:
-	// per-environment isolation scores and top-leaking-lock reports.
-	IsolationResult = core.IsolationResult
-	// IsolationRow is one environment's isolation score and leak summary.
-	IsolationRow = core.IsolationRow
 	// WorkloadProfile is what a corpus was observed to reach — the input
 	// to kernel specialization (EnvSpec.Profile).
 	WorkloadProfile = specialize.Profile
-	// KernelReduction is a generated reduced-kernel configuration
-	// (kernel.Config.Reduction).
-	KernelReduction = kernel.Reduction
 	// ResultCache is the content-addressed, disk-backed store for
 	// deterministic results (set Scale.Cache / SweepOptions via Scale).
 	ResultCache = resultcache.Store
 	// CacheStats is a snapshot of a result cache's hit/miss/bytes counters.
 	CacheStats = resultcache.Stats
-	// CacheKey identifies one cached result by its complete input set.
-	CacheKey = resultcache.Key
 	// Experiment is one entry of the experiment table (Experiments).
 	Experiment = core.Experiment
 	// ExperimentOutput is one experiment run's rendered text, CSV, and
@@ -142,19 +113,18 @@ type (
 	ExperimentOutput = core.Output
 )
 
-// Environment kinds.
+// Environment kinds (EnvSpec.Kind, ClusterConfig.Kind).
 const (
 	KindNative     = platform.KindNative
 	KindVMs        = platform.KindVMs
 	KindContainers = platform.KindContainers
-)
-
-// Time units.
-const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
+	// KindLightVMs selects the lightweight-VM (Firecracker/Kata-class)
+	// environment ("lightvm-N" in sweep specs).
+	KindLightVMs = platform.KindLightVMs
+	// KindSpecialized selects the MultiK-style per-tenant specialized-kernel
+	// environment ("specialized-N" in sweep specs): N profile-generated
+	// reduced kernels partitioning the machine.
+	KindSpecialized = platform.KindSpecialized
 )
 
 // PaperMachine is the paper's evaluation host: 64 cores / 32 GB (Table 1).
@@ -189,24 +159,6 @@ func ReadCorpus(r io.Reader) (*Corpus, error) {
 	return corpus.ParseText(r, syscalls.Default())
 }
 
-// NewNativeEnvironment builds a bare-metal deployment: one kernel managing
-// the whole machine.
-func NewNativeEnvironment(eng *Engine, m Machine, seed uint64) *Environment {
-	return platform.Native(eng, m, rng.New(seed))
-}
-
-// NewVMEnvironment partitions the machine into n KVM-style VMs (n must
-// divide the core count).
-func NewVMEnvironment(eng *Engine, m Machine, n int, seed uint64) *Environment {
-	return platform.VMs(eng, m, n, rng.New(seed))
-}
-
-// NewContainerEnvironment deploys n Docker-style containers over one shared
-// kernel.
-func NewContainerEnvironment(eng *Engine, m Machine, n int, seed uint64) *Environment {
-	return platform.Containers(eng, m, n, rng.New(seed))
-}
-
 // RunVarbench deploys the corpus on every core of the environment with
 // global barrier synchronization and returns per-call-site latency
 // distributions.
@@ -219,11 +171,6 @@ func RunVarbench(env *Environment, c *Corpus, opts VarbenchOptions) *VarbenchRes
 // Scale.Cache or pass it to RunVarbenchCached, and repeated or interrupted
 // experiments reuse every cell whose inputs are unchanged.
 func OpenResultCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
-
-// CacheCodeVersion is the code-version salt mixed into every cache key;
-// bumping it (done whenever a change alters simulation bits) invalidates
-// all prior entries by construction.
-const CacheCodeVersion = resultcache.CodeVersion
 
 // RunVarbenchCached is RunVarbench through the result cache: the
 // environment is built from its spec with opts.Seed, the cache is
@@ -302,25 +249,11 @@ var (
 	LookupExperiment = core.LookupExperiment
 	// ProfileCorpus derives a corpus's deterministic workload profile.
 	ProfileCorpus = specialize.ProfileCorpus
-	// SpecializeKernel generates the reduced kernel configuration for a
-	// profile (nil table = the default syscall table).
-	SpecializeKernel = specialize.Specialize
 	// FaultPresets lists the built-in interference plan names.
 	FaultPresets = fault.Presets
 	// FaultPreset returns a built-in plan by name.
 	FaultPreset = fault.Preset
-	// DecodeFaultPlan parses a plan from its canonical text form.
-	DecodeFaultPlan = fault.Decode
 )
-
-// KindLightVMs selects the lightweight-VM (Firecracker/Kata-class)
-// environment in SingleNodeConfig/ClusterConfig-style uses.
-const KindLightVMs = platform.KindLightVMs
-
-// KindSpecialized selects the MultiK-style per-tenant specialized-kernel
-// environment ("specialized-N" in sweep specs): N profile-generated
-// reduced kernels partitioning the machine.
-const KindSpecialized = platform.KindSpecialized
 
 // Daemon layer (cmd/ksad): the long-running experiment service and its
 // HTTP API — jobs multiplex onto one shared pool, warmed jobs are served
