@@ -23,8 +23,11 @@ import (
 	"testing"
 
 	"ksa"
+	"ksa/internal/core"
 	"ksa/internal/corpus"
 	"ksa/internal/kernel"
+	"ksa/internal/resultcache"
+	"ksa/internal/resultcache/codec"
 	"ksa/internal/rng"
 	"ksa/internal/sim"
 	"ksa/internal/syscalls"
@@ -319,4 +322,70 @@ func BenchmarkSpecializedVsFull(b *testing.B) {
 	}
 	b.Run("full", run(ksa.EnvSpec{Kind: ksa.KindNative}))
 	b.Run("specialized-8", run(ksa.EnvSpec{Kind: ksa.KindSpecialized, Units: 8, Profile: prof}))
+}
+
+// warmSweepOptions is a quick 5-environment × 2-trial sweep, the grid a
+// warm ksad sweep job serves.
+func warmSweepOptions(b *testing.B, st *resultcache.Store) core.SweepOptions {
+	envs, err := core.ParseEnvSpecs([]string{"native", "kvm-8", "kvm-64", "docker-64", "specialized-64"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := core.QuickScale()
+	sc.Cache = st
+	return core.SweepOptions{Scale: sc, Envs: envs, Trials: 2}
+}
+
+// BenchmarkCodecResult measures the result codec on one quick sweep's 10
+// cells: encoding each cell's payload, and decoding it back.
+func BenchmarkCodecResult(b *testing.B) {
+	res, err := core.RunSweep(context.Background(), warmSweepOptions(b, nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	payloads := make([][]byte, len(res.Runs))
+	for i, run := range res.Runs {
+		payloads[i] = codec.EncodeResult(run.Res)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, run := range res.Runs {
+				codec.EncodeResult(run.Res)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, p := range payloads {
+				if _, err := codec.DecodeResult(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkWarmSweep serves a fully cached quick 5 × 2 sweep in process
+// the way a warm ksad job does once planned: every cell read from the
+// result store and decoded (SweepPlan.Run), then rendered and digested.
+func BenchmarkWarmSweep(b *testing.B) {
+	st, err := resultcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := core.PlanSweep(warmSweepOptions(b, st))
+	if _, err := plan.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := plan.Run(context.Background())
+		if err != nil || res.Par.CacheHits != len(plan.Cells) {
+			b.Fatalf("warm sweep: %d of %d cells from the store (%v)", res.Par.CacheHits, len(plan.Cells), err)
+		}
+		_ = res.Render()
+		_ = res.Digest()
+	}
 }

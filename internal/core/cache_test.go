@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -59,6 +63,52 @@ func encodeRuns(t *testing.T, r SweepResult) []byte {
 		buf.Write(codec.EncodeResult(run.Res))
 	}
 	return buf.Bytes()
+}
+
+// A fully cached sweep's digest is the SHA-256 over each cell's key line
+// and the payload the store holds for it, and computing it re-encodes every
+// cell into one buffer: it allocates at most twice the largest payload.
+func TestWarmSweepDigestHashesStoredPayloads(t *testing.T) {
+	st, _ := openCache(t)
+	sc := QuickScale()
+	sc.Cache = st
+	envs := must(ParseEnvSpecs([]string{"native", "kvm-8", "kvm-64", "docker-64", "specialized-64"}))
+	o := SweepOptions{Scale: sc, Envs: envs, Trials: 2}
+	must(RunSweep(context.Background(), o))
+	plan := PlanSweep(o)
+	warm := must(plan.Run(context.Background()))
+	if warm.Par.CacheHits != 10 || warm.Par.CacheMisses != 0 {
+		t.Fatalf("warm sweep: %d hits, %d misses, want 10 and 0", warm.Par.CacheHits, warm.Par.CacheMisses)
+	}
+
+	h := sha256.New()
+	largest := 0
+	for _, c := range plan.Cells {
+		payload, ok := st.Get(plan.CacheKey(c))
+		if !ok {
+			t.Fatalf("cell %s missing from the store", c.JobKey)
+		}
+		fmt.Fprintf(h, "cell=%s seed=%#016x\n", c.JobKey, c.Seed)
+		h.Write(payload)
+		largest = max(largest, len(payload))
+	}
+	if got, want := warm.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("digest %s, want %s over the stored payloads", got, want)
+	}
+
+	var before, after runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		warm.Digest()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if got > 2*float64(largest) {
+		t.Fatalf("Digest allocated %.0f bytes, want at most %d (twice the largest payload)", got, 2*largest)
+	}
+	t.Logf("Digest allocated %.0f bytes; the largest payload is %d", got, largest)
 }
 
 func TestCachedSweepBitIdentity(t *testing.T) {

@@ -52,23 +52,11 @@ func interferenceEnvs() []EnvSpec {
 }
 
 // pooledLatencies pools every call site's recorded latencies into one
-// sample (µs). Sketch-backed sites merge by integer count addition, so the
-// pool is identical for any site order; exact-backed sites replay their
-// sorted values.
+// sample (µs). Sketch-backed sites merge by integer count addition into
+// one window sized to cover them all, so the pool is identical for any
+// site order; exact-backed sites replay their sorted values.
 func pooledLatencies(r *varbench.Result) *stats.Sample {
-	n := 0
-	for _, sr := range r.Sites {
-		n += sr.Sample.Len()
-	}
-	var proto *stats.Sample
-	if len(r.Sites) > 0 {
-		proto = r.Sites[0].Sample
-	}
-	pool := stats.NewSampleLike(proto, n)
-	for _, sr := range r.Sites {
-		pool.Merge(sr.Sample)
-	}
-	return pool
+	return stats.Pool(len(r.Sites), func(i int) *stats.Sample { return r.Sites[i].Sample })
 }
 
 // RunInterference doses one noise plan across the surface-area grid. Each

@@ -103,13 +103,22 @@ func (r SweepResult) Render() string {
 // over every cell's canonical binary encoding, in job-key order. Two
 // sweeps are byte-identical iff their digests match — this is the value
 // the daemon reports so N concurrent clients (or a remote and a local
-// run) can assert bit-identity without shipping payloads around.
+// run) can assert bit-identity without shipping payloads around. Every
+// cell is encoded into one buffer sized to the largest cell.
 func (r SweepResult) Digest() string {
+	size := 0
+	for _, run := range r.Runs {
+		if run.Res != nil {
+			size = max(size, codec.ResultLen(run.Res))
+		}
+	}
+	buf := make([]byte, 0, size)
 	h := sha256.New()
 	for _, run := range r.Runs {
 		fmt.Fprintf(h, "cell=%s seed=%#016x\n", run.Key(), run.Seed)
 		if run.Res != nil {
-			h.Write(codec.EncodeResult(run.Res))
+			buf = codec.AppendResult(buf[:0], run.Res)
+			h.Write(buf)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

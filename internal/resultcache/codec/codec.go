@@ -8,13 +8,16 @@
 // order every downstream statistic is computed from), sketch samples as
 // their trimmed count window (the sketch's canonical state, identical for
 // any insertion or merge order), integers are fixed-width little-endian,
-// and floats are IEEE-754 bit patterns. Encode(Decode(b)) therefore
-// reproduces b exactly, which is what lets -cache-verify assert
-// byte-equality between a stored entry and a recomputation — a standing
-// bit-identity audit of published numbers.
+// and floats are IEEE-754 bit patterns. Decoders accept only canonical
+// payloads, so Encode(Decode(b)) reproduces every b that decodes exactly,
+// which is what lets -cache-verify assert byte-equality between a stored
+// entry and a recomputation — a standing bit-identity audit of published
+// numbers.
 //
 // Each encoding starts with a magic tag and a format version byte.
-// Decoders reject unknown versions and any structural damage with an
+// Decoders reject unknown versions, any structural damage and any
+// non-canonical payload (exact values out of order, an empty sketch with
+// finite extremes, a syscall id or flag out of its range) with an
 // error, never a panic: the cache layer treats a decode failure as a miss
 // and recomputes.
 package codec
@@ -23,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ksa/internal/cluster"
 	"ksa/internal/sim"
@@ -55,10 +59,39 @@ const (
 // Exact sample values are written sorted (their canonical order), sketch
 // samples as their trimmed window, so two results that agree on every
 // statistic encode identically regardless of insertion or merge order.
-// Results carrying tracers cannot round-trip; callers must not cache
-// traced runs.
+// The payload is allocated once, at its exact length. Results carrying
+// tracers cannot round-trip; callers must not cache traced runs.
 func EncodeResult(r *varbench.Result) []byte {
-	w := writer{buf: make([]byte, 0, 1024)}
+	return appendResult(make([]byte, 0, ResultLen(r)), r)
+}
+
+// AppendResult appends r's encoding (EncodeResult's bytes) to dst and
+// returns the extended slice, growing dst at most once. A caller that
+// encodes many results into one reused buffer (dst[:0]) of at least the
+// largest ResultLen allocates nothing.
+func AppendResult(dst []byte, r *varbench.Result) []byte {
+	return appendResult(slices.Grow(dst, ResultLen(r)), r)
+}
+
+// ResultLen returns the length of r's encoding: what EncodeResult
+// allocates.
+func ResultLen(r *varbench.Result) int {
+	n := len(resultMagic) + 1 + 4 + len(r.Env) + 3*4
+	for _, sr := range r.Sites {
+		n += 3*4 + 1
+		if sk := sr.Sample.Sketch(); sk != nil {
+			_, counts, _, _, _ := sk.Parts()
+			n += 3*8 + 2*4 + 8*len(counts)
+			continue
+		}
+		n += 4 + 8*sr.Sample.Len()
+	}
+	return n
+}
+
+// appendResult appends r's encoding to dst, which the callers have sized.
+func appendResult(dst []byte, r *varbench.Result) []byte {
+	w := writer{buf: dst}
 	w.bytes([]byte(resultMagic))
 	w.u8(ResultVersion)
 	w.str(r.Env)
@@ -93,7 +126,8 @@ func EncodeResult(r *varbench.Result) []byte {
 }
 
 // DecodeResult parses the versioned binary form back into a Result with a
-// rebuilt site index. Any structural damage yields an error.
+// rebuilt site index. Any structural damage, and any payload that would not
+// re-encode to itself, yields an error.
 func DecodeResult(b []byte) (*varbench.Result, error) {
 	r := reader{buf: b}
 	if string(r.take(4)) != resultMagic {
@@ -123,38 +157,41 @@ func DecodeResult(b []byte) (*varbench.Result, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		if sys > math.MaxUint16 {
+			return nil, fmt.Errorf("codec: site %d: syscall id %d out of range", i, sys)
+		}
 		var smp *stats.Sample
 		switch tag {
 		case sampleTagExact:
-			n := int(r.u32())
+			raw := r.words()
 			if r.err != nil {
 				return nil, r.err
 			}
-			if n < 0 || n > r.remaining()/8 {
-				return nil, fmt.Errorf("codec: site %d: implausible sample length %d", i, n)
-			}
-			smp = stats.NewExactSample(n)
-			for j := 0; j < n; j++ {
-				smp.Add(math.Float64frombits(r.u64()))
+			// Values() returns values added in order as they are and
+			// sorts any other order, so only an ordered run re-encodes to
+			// itself.
+			smp = stats.NewExactSample(len(raw) / 8)
+			prev := math.Inf(-1)
+			for j := 0; j < len(raw); j += 8 {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[j:]))
+				if v < prev {
+					return nil, fmt.Errorf("codec: site %d: exact values out of order", i)
+				}
+				smp.Add(v)
+				prev = v
 			}
 		case sampleTagSketch:
 			zero := r.u64()
 			min := math.Float64frombits(r.u64())
 			max := math.Float64frombits(r.u64())
 			base := int(int32(r.u32()))
-			wlen := int(r.u32())
+			raw := r.words()
 			if r.err != nil {
 				return nil, r.err
 			}
-			if wlen < 0 || wlen > r.remaining()/8 {
-				return nil, fmt.Errorf("codec: site %d: implausible sketch window %d", i, wlen)
-			}
-			counts := make([]uint64, wlen)
+			counts := make([]uint64, len(raw)/8)
 			for j := range counts {
-				counts[j] = r.u64()
-			}
-			if r.err != nil {
-				return nil, r.err
+				counts[j] = binary.LittleEndian.Uint64(raw[8*j:])
 			}
 			sk, err := stats.SketchFromParts(base, counts, zero, min, max)
 			if err != nil {
@@ -181,7 +218,8 @@ func DecodeResult(b []byte) (*varbench.Result, error) {
 
 // EncodeCluster renders a cluster.Result in the versioned binary form.
 func EncodeCluster(r *cluster.Result) []byte {
-	w := writer{buf: make([]byte, 0, 128)}
+	n := len(clusterMagic) + 1 + 4 + len(r.App) + 4 + len(r.Env) + 1 + 2*8 + 4 + 8*len(r.IterTimes)
+	w := writer{buf: make([]byte, 0, n)}
 	w.bytes([]byte(clusterMagic))
 	w.u8(ClusterVersion)
 	w.str(r.App)
@@ -210,7 +248,12 @@ func DecodeCluster(b []byte) (*cluster.Result, error) {
 	if v := r.u8(); v != ClusterVersion {
 		return nil, fmt.Errorf("codec: cluster format version %d (want %d)", v, ClusterVersion)
 	}
-	out := &cluster.Result{App: r.str(), Env: r.str(), Contended: r.u8() == 1}
+	out := &cluster.Result{App: r.str(), Env: r.str()}
+	flag := r.u8()
+	if flag > 1 {
+		return nil, fmt.Errorf("codec: contended flag %d (want 0 or 1)", flag)
+	}
+	out.Contended = flag == 1
 	out.Runtime = sim.Time(r.u64())
 	out.MeanNodeTime = sim.Time(r.u64())
 	n := int(r.u32())
@@ -240,6 +283,7 @@ func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
 func (w *writer) u8(v uint8)     { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
@@ -288,6 +332,16 @@ func (r *reader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// words reads a u32 count and then that many 8-byte words, returning
+// them as one slice of the payload: one bounds check for the whole run.
+func (r *reader) words() []byte {
+	n := int(r.u32())
+	if r.err == nil && n > r.remaining()/8 {
+		r.err = fmt.Errorf("codec: implausible sample length %d", n)
+	}
+	return r.take(8 * n)
 }
 
 func (r *reader) str() string {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,15 +72,30 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultRoundTripRealRun(t *testing.T) {
-	// A real harness run (small grid) must survive the codec with every
-	// downstream statistic intact, and encode canonically.
+// realRun runs a small real harness grid: sketch-backed sites with the
+// windows a real latency stream fills.
+func realRun() *varbench.Result {
 	opts := fuzz.NewOptions(7)
 	opts.TargetPrograms = 6
 	c, _ := fuzz.Generate(opts)
 	env := platform.VMs(sim.NewEngine(), platform.Machine{Cores: 8, MemGB: 4}, 2, rng.New(7))
-	res := varbench.Run(env, c, varbench.Options{Iterations: 3, Warmup: 1, Seed: 7})
+	return varbench.Run(env, c, varbench.Options{Iterations: 3, Warmup: 1, Seed: 7})
+}
 
+// exactResult is a small exact-backed result (the Options.ExactStats
+// oracle path).
+func exactResult() *varbench.Result {
+	s := stats.NewExactSample(2)
+	s.AddAll([]float64{2.25, 0.5})
+	return varbench.NewResult("native", 1, 1, []varbench.SiteResult{
+		{Site: varbench.Site{}, Syscall: 7, Sample: s},
+	})
+}
+
+func TestResultRoundTripRealRun(t *testing.T) {
+	// A real harness run (small grid) must survive the codec with every
+	// downstream statistic intact, and encode canonically.
+	res := realRun()
 	enc := EncodeResult(res)
 	dec, err := DecodeResult(enc)
 	if err != nil {
@@ -130,12 +146,7 @@ func TestResultGolden(t *testing.T) {
 // TestResultGoldenExact pins the v2 encoding of an exact-backed site (tag
 // 0), the Options.ExactStats oracle path.
 func TestResultGoldenExact(t *testing.T) {
-	s := stats.NewExactSample(2)
-	s.AddAll([]float64{2.25, 0.5})
-	r := varbench.NewResult("native", 1, 1, []varbench.SiteResult{
-		{Site: varbench.Site{}, Syscall: 7, Sample: s},
-	})
-	enc := EncodeResult(r)
+	enc := EncodeResult(exactResult())
 	if want := goldenBytes(t, "golden_exact_v2.hex"); !bytes.Equal(enc, want) {
 		t.Fatalf("exact encoding drifted from golden v2:\n got %x\nwant %x", enc, want)
 	}
@@ -203,6 +214,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := DecodeCluster(EncodeResult(smallResult())); err == nil {
 		t.Fatal("result payload decoded as cluster")
 	}
+	// A contended flag other than 0 or 1 would re-encode as 0.
+	bad := EncodeCluster(&cluster.Result{App: "a", Env: "kvm"})
+	bad[len(clusterMagic)+1+4+len("a")+4+len("kvm")] = 2
+	if _, err := DecodeCluster(bad); err == nil {
+		t.Fatal("cluster payload with contended flag 2 decoded without error")
+	}
 }
 
 func TestEncodeCanonicalizesSampleOrder(t *testing.T) {
@@ -226,12 +243,13 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(EncodeResult(smallResult()))
 	f.Add([]byte("KSVB"))
 	f.Add([]byte{})
+	f.Add(EncodeResult(exactResult()))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Decoding arbitrary bytes must never panic; a successful decode
-		// must re-encode without error.
+		// Decoding arbitrary bytes must never panic, and every payload that
+		// decodes is canonical: it re-encodes to itself.
 		r, err := DecodeResult(b)
-		if err == nil {
-			EncodeResult(r)
+		if err == nil && !bytes.Equal(EncodeResult(r), b) {
+			t.Fatalf("Encode(Decode(b)) != b for %x", b)
 		}
 	})
 }
@@ -241,8 +259,8 @@ func FuzzDecodeCluster(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := DecodeCluster(b)
-		if err == nil {
-			EncodeCluster(r)
+		if err == nil && !bytes.Equal(EncodeCluster(r), b) {
+			t.Fatalf("Encode(Decode(b)) != b for %x", b)
 		}
 	})
 }
@@ -269,11 +287,14 @@ func TestFloatBitsPreserved(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadSketch hand-assembles structurally damaged sketch
-// sites: the decoder must reject an untrimmed window, an out-of-range
-// base, and an unknown backend tag with an error, never a panic.
+// TestDecodeRejectsBadSketch hand-assembles structurally damaged and
+// non-canonical sites: the decoder must reject an untrimmed window, an
+// out-of-range base, an unknown backend tag, an empty sketch with finite
+// extremes, exact values out of order and a syscall id wider than
+// syscalls.ID with an error, never a panic. The canonical twins of the
+// last three decode and re-encode to themselves.
 func TestDecodeRejectsBadSketch(t *testing.T) {
-	build := func(mutate func(w *writer)) []byte {
+	build := func(sys uint32, site func(w *writer)) []byte {
 		w := writer{}
 		w.bytes([]byte(resultMagic))
 		w.u8(ResultVersion)
@@ -283,16 +304,16 @@ func TestDecodeRejectsBadSketch(t *testing.T) {
 		w.u32(1) // sites
 		w.u32(0) // program
 		w.u32(0) // call
-		w.u32(7) // syscall
-		mutate(&w)
+		w.u32(sys)
+		site(&w)
 		return w.buf
 	}
-	sketchSite := func(base uint32, counts ...uint64) func(w *writer) {
+	sketchSite := func(min, max float64, base uint32, counts ...uint64) func(w *writer) {
 		return func(w *writer) {
-			w.u8(1)  // sketch tag
+			w.u8(sampleTagSketch)
 			w.u64(0) // zero bucket
-			w.u64(math.Float64bits(1))
-			w.u64(math.Float64bits(2))
+			w.u64(math.Float64bits(min))
+			w.u64(math.Float64bits(max))
 			w.u32(base)
 			w.u32(uint32(len(counts)))
 			for _, c := range counts {
@@ -300,19 +321,110 @@ func TestDecodeRejectsBadSketch(t *testing.T) {
 			}
 		}
 	}
+	exactSite := func(vals ...float64) func(w *writer) {
+		return func(w *writer) {
+			w.u8(sampleTagExact)
+			w.u32(uint32(len(vals)))
+			for _, v := range vals {
+				w.u64(math.Float64bits(v))
+			}
+		}
+	}
 	cases := []struct {
 		name string
 		b    []byte
 	}{
-		{"untrimmed-window", build(sketchSite(100, 0, 5))},
-		{"base-out-of-range", build(sketchSite(1<<30, 1))},
-		{"unknown-tag", build(func(w *writer) { w.u8(9) })},
+		{"untrimmed-window", build(7, sketchSite(1, 2, 100, 0, 5))},
+		{"base-out-of-range", build(7, sketchSite(1, 2, 1<<30, 1))},
+		{"unknown-tag", build(7, func(w *writer) { w.u8(9) })},
+		{"empty-sketch-with-extremes", build(7, sketchSite(1, 2, 0))},
+		{"exact-values-out-of-order", build(7, exactSite(0.5, 2.25, 1))},
+		{"syscall-out-of-range", build(1<<16+7, exactSite(0.5))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := DecodeResult(tc.b); err == nil {
-				t.Fatal("damaged sketch site decoded without error")
+				t.Fatal("damaged or non-canonical site decoded without error")
 			}
 		})
+	}
+	for _, b := range [][]byte{
+		build(7, sketchSite(math.Inf(1), math.Inf(-1), 0)),
+		build(7, exactSite(0.5, 1, 1, 2.25)),
+		build(math.MaxUint16, exactSite(0.5)),
+	} {
+		r, err := DecodeResult(b)
+		if err != nil {
+			t.Fatalf("canonical payload %x rejected: %v", b, err)
+		}
+		if !bytes.Equal(EncodeResult(r), b) {
+			t.Fatalf("canonical payload %x does not re-encode to itself", b)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call.
+func allocBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// EncodeResult sizes its payload before writing it: one allocation, with
+// no spare capacity, for sketch-backed and exact-backed results alike.
+func TestEncodeResultAllocatesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    *varbench.Result
+	}{{"sketch", smallResult()}, {"exact", exactResult()}, {"real-run", realRun()}} {
+		if n := testing.AllocsPerRun(100, func() { EncodeResult(tc.r) }); n != 1 {
+			t.Errorf("%s: EncodeResult made %v allocations, want 1", tc.name, n)
+		}
+		if enc := EncodeResult(tc.r); cap(enc) != len(enc) {
+			t.Errorf("%s: payload cap %d, len %d", tc.name, cap(enc), len(enc))
+		}
+	}
+}
+
+// AppendResult appends EncodeResult's bytes after whatever dst holds, and
+// a buffer that already has room takes them without allocating.
+func TestAppendResult(t *testing.T) {
+	r := realRun()
+	enc := EncodeResult(r)
+	if got := AppendResult([]byte("cell"), r); !bytes.Equal(got, append([]byte("cell"), enc...)) {
+		t.Fatal("AppendResult did not append EncodeResult's bytes to dst")
+	}
+	buf := make([]byte, 0, len(enc))
+	if n := testing.AllocsPerRun(100, func() { buf = AppendResult(buf[:0], r) }); n != 0 {
+		t.Fatalf("AppendResult into a buffer with room made %v allocations, want 0", n)
+	}
+	if !bytes.Equal(buf, enc) {
+		t.Fatal("reused buffer does not hold EncodeResult's bytes")
+	}
+}
+
+// DecodeResult reads each window into one slice that the sketch adopts, so
+// decoding a payload allocates about its length plus a few small objects
+// per site (sample, sketch, site entry, index slot, size-class slack); a
+// window decoded twice would cost as much again.
+func TestDecodeResultAllocBudget(t *testing.T) {
+	r := realRun()
+	enc := EncodeResult(r)
+	const perSite = 512
+	got := allocBytes(50, func() {
+		if _, err := DecodeResult(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := len(enc) + perSite*len(r.Sites); got > float64(budget) {
+		t.Fatalf("decoding a %d-byte payload of %d sites allocated %.0f bytes, want at most %d",
+			len(enc), len(r.Sites), got, budget)
 	}
 }

@@ -170,7 +170,7 @@ type Store struct {
 
 // StaleTempAge is how old an orphaned temp file must be before Open
 // reclaims it. Writers hold a temp file only for the duration of one
-// buffered write + rename (milliseconds), so anything this old is debris
+// entry's writes + rename (milliseconds), so anything this old is debris
 // from a writer that died mid-Put (SIGKILL between CreateTemp and Rename).
 // The margin exists only to never race a live writer in another process.
 const StaleTempAge = time.Hour
@@ -371,21 +371,26 @@ func (s *Store) put(k Key, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, headerLen+len(canon)+len(payload))
-	buf = append(buf, entryMagic...)
-	buf = append(buf, entryVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(canon)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	// The header and key go in one small buffer; the payload is written
+	// from the caller's slice rather than copied in after them.
+	head := make([]byte, 0, headerLen+len(canon))
+	head = append(head, entryMagic...)
+	head = append(head, entryVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(canon)))
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-	buf = append(buf, canon...)
-	buf = append(buf, payload...)
+	head = append(head, sum[:]...)
+	head = append(head, canon...)
 
 	tmp, err := os.CreateTemp(s.dir, "tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	_, err = tmp.Write(head)
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -367,8 +367,9 @@ func (k *Sketch) Parts() (base int, counts []uint64, zero uint64, min, max float
 // SketchFromParts reassembles a sketch from its canonical parts (the
 // codec's constructor), validating the structural invariants Parts
 // guarantees: the window lies within the global bucket space, is trimmed
-// (nonzero at both ends), and the total count does not overflow. The counts
-// slice is copied.
+// (nonzero at both ends), the total count does not overflow, and an empty
+// sketch carries the empty extremes (+Inf, -Inf). The counts slice is
+// adopted, not copied: the caller must not use it afterwards.
 func SketchFromParts(base int, counts []uint64, zero uint64, min, max float64) (*Sketch, error) {
 	if len(counts) == 0 {
 		if base != 0 {
@@ -389,14 +390,12 @@ func SketchFromParts(base int, counts []uint64, zero uint64, min, max float64) (
 		}
 		n += c
 	}
-	k := &Sketch{zero: zero, n: n, min: min, max: max}
-	if n == 0 {
-		// Canonicalize the empty sketch regardless of encoded extremes.
-		k.min, k.max = math.Inf(1), math.Inf(-1)
+	if n == 0 && (min != math.Inf(1) || max != math.Inf(-1)) {
+		return nil, fmt.Errorf("stats: empty sketch with extremes %v, %v", min, max)
 	}
+	k := &Sketch{zero: zero, n: n, min: min, max: max}
 	if len(counts) > 0 {
-		k.base = base
-		k.counts = append([]uint64(nil), counts...)
+		k.base, k.counts = base, counts
 	}
 	return k, nil
 }

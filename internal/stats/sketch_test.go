@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -28,11 +29,12 @@ func sketchEqual(a, b *Sketch) bool {
 }
 
 // cloneSketch round-trips through Parts/SketchFromParts — both a deep copy
-// and a serialization-path exercise.
+// and a serialization-path exercise. SketchFromParts adopts its window, so
+// the clone copies the window Parts aliases before handing it over.
 func cloneSketch(t testing.TB, k *Sketch) *Sketch {
 	t.Helper()
 	base, counts, zero, min, max := k.Parts()
-	c, err := SketchFromParts(base, counts, zero, min, max)
+	c, err := SketchFromParts(base, append([]uint64(nil), counts...), zero, min, max)
 	if err != nil {
 		t.Fatalf("SketchFromParts on Parts output: %v", err)
 	}
@@ -176,6 +178,7 @@ func TestSketchFromPartsRejects(t *testing.T) {
 		{"window-overflow", sketchBuckets - 1, []uint64{1, 1}, 0},
 		{"count-overflow", 0, []uint64{^uint64(0)}, 1},
 		{"empty-with-base", 3, nil, 0},
+		{"empty-with-extremes", 0, nil, 0},
 	}
 	for _, c := range cases {
 		if _, err := SketchFromParts(c.base, c.counts, c.zero, 0, 1); err == nil {
@@ -283,6 +286,113 @@ func TestSampleMergeAcrossBackends(t *testing.T) {
 	s.Merge(nil)
 	if s.Len() != len(vs) {
 		t.Fatal("Merge(nil) changed the sample")
+	}
+}
+
+// randomPoolInput returns one input of a pooling test: an empty sketch, a
+// zero-only sketch, or a sketch whose values span a few octaves around one
+// of four centers, so that two such windows are often disjoint and often
+// overlap.
+func randomPoolInput(rnd *rand.Rand) *Sample {
+	s := NewSample(0)
+	switch rnd.IntN(4) {
+	case 0: // empty
+	case 1:
+		s.sk.AddN(0, 1+rnd.Uint64N(5))
+	default:
+		center := []int{-12, 0, 6, 20}[rnd.IntN(4)]
+		span := 1 + rnd.IntN(4)
+		for n := 1 + rnd.IntN(60); n > 0; n-- {
+			s.Add(math.Ldexp(1+rnd.Float64(), center+rnd.IntN(span)))
+		}
+		if rnd.IntN(3) == 0 {
+			s.sk.AddN(0, 1+rnd.Uint64N(3))
+		}
+	}
+	return s
+}
+
+// samePool reports whether two pooled samples agree bit for bit on their
+// backend, canonical state, quantiles, Mean and Stddev.
+func samePool(a, b *Sample) bool {
+	if a.Exact() != b.Exact() || a.Len() != b.Len() {
+		return false
+	}
+	if !a.Exact() && !sketchEqual(a.sk, b.sk) {
+		return false
+	}
+	if a.Exact() {
+		av, bv := a.Values(), b.Values()
+		for i := range av {
+			if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+				return false
+			}
+		}
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1} {
+		if !same(a.Quantile(q), b.Quantile(q)) {
+			return false
+		}
+	}
+	return same(a.Mean(), b.Mean()) && same(a.Stddev(), b.Stddev())
+}
+
+// Pool gives the sample that merging its inputs one at a time gives, for
+// any mix of empty, zero-only, disjoint and overlapping sketches with one
+// exact sample among them; with the exact sample first the pool is exact.
+func TestPoolMatchesSequentialMerge(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(42, 23))
+	for trial := 0; trial < 500; trial++ {
+		samples := make([]*Sample, 1+rnd.IntN(8))
+		for i := range samples {
+			samples[i] = randomPoolInput(rnd)
+		}
+		exact := NewExactSample(0)
+		for n := rnd.IntN(20); n > 0; n-- {
+			exact.Add(math.Ldexp(1+rnd.Float64(), rnd.IntN(30)-10))
+		}
+		exact.Add(0)
+		samples[rnd.IntN(len(samples))] = exact
+
+		pool := Pool(len(samples), func(i int) *Sample { return samples[i] })
+		seq := NewSampleLike(samples[0], 0)
+		for _, s := range samples {
+			seq.Merge(s)
+		}
+		if !samePool(pool, seq) {
+			t.Fatalf("trial %d: pooling %d samples differs from merging them one at a time", trial, len(samples))
+		}
+	}
+	if p := Pool(0, nil); p.Exact() || p.Len() != 0 {
+		t.Fatal("pooling no samples should give an empty sketch-backed sample")
+	}
+}
+
+// A sketch pool allocates one window, sized to the union of its inputs'
+// windows: the pool is its sample, its sketch and that window.
+func TestPoolAllocatesOneWindow(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(7, 7))
+	samples := make([]*Sample, 12)
+	for i := range samples {
+		samples[i] = randomPoolInput(rnd)
+	}
+	samples[5] = NewExactSample(2)
+	samples[5].AddAll([]float64{1e-3, 5e9})
+	at := func(i int) *Sample { return samples[i] }
+
+	lo, hi := sketchBuckets, 0
+	for _, s := range samples {
+		l, h := s.window()
+		lo, hi = min(lo, l), max(hi, h)
+	}
+	pool := Pool(len(samples), at)
+	if pool.sk.base != lo || len(pool.sk.counts) != hi-lo {
+		t.Fatalf("pool window [%d,%d), want the union [%d,%d)",
+			pool.sk.base, pool.sk.base+len(pool.sk.counts), lo, hi)
+	}
+	if n := testing.AllocsPerRun(50, func() { Pool(len(samples), at) }); n != 3 {
+		t.Fatalf("Pool made %v allocations, want 3 (sample, sketch, window)", n)
 	}
 }
 

@@ -135,6 +135,64 @@ func (s *Sample) Merge(o *Sample) {
 	})
 }
 
+// Pool returns a new sample holding the observations of n samples, at(0)
+// through at(n-1): bit for bit the sample that merging them one at a time
+// into NewSampleLike(at(0), 0) gives. A sketch pool sizes its window once,
+// to the union of the inputs' windows, so it allocates one window however
+// many samples it folds in; an exact pool reserves room for every value
+// once.
+func Pool(n int, at func(i int) *Sample) *Sample {
+	var proto *Sample
+	if n > 0 {
+		proto = at(0)
+	}
+	var pool *Sample
+	if proto != nil && proto.Exact() {
+		total := 0
+		for i := 0; i < n; i++ {
+			total += at(i).Len()
+		}
+		pool = NewExactSample(total)
+	} else {
+		k := NewSketch()
+		lo, hi := sketchBuckets, 0
+		for i := 0; i < n; i++ {
+			l, h := at(i).window()
+			lo, hi = min(lo, l), max(hi, h)
+		}
+		if lo < hi {
+			k.base, k.counts = lo, make([]uint64, hi-lo)
+		}
+		pool = &Sample{sk: k}
+	}
+	for i := 0; i < n; i++ {
+		pool.Merge(at(i))
+	}
+	return pool
+}
+
+// window returns the span [lo, hi) of global sketch buckets that the
+// sample's positive observations fall in (lo >= hi when there are none):
+// what a sketch's window must cover to absorb the sample without growing.
+func (s *Sample) window() (lo, hi int) {
+	lo, hi = sketchBuckets, 0
+	if s.sk != nil {
+		if base, counts, _, _, _ := s.sk.Parts(); len(counts) > 0 {
+			lo, hi = base, base+len(counts)
+		}
+		return lo, hi
+	}
+	for _, v := range s.vals {
+		if v <= 0 || v != v {
+			continue // the zero bucket
+		}
+		if i := sketchIndex(v); i >= 0 {
+			lo, hi = min(lo, i), max(hi, i+1)
+		}
+	}
+	return lo, hi
+}
+
 // Each visits the sample's distinct values in ascending order with their
 // multiplicities — the canonical weighted view both backends share, used
 // by the violin KDE. For exact samples every retained observation is

@@ -7,7 +7,7 @@
 #   - the untraced run's heap_live_p90_mib exceeds the workload's value
 #     there by more than 15%, BENCHMARK.json's bound. Only sweep-warm and
 #     cluster-bsp are heap-gated: their recorded runs spread by at most 7%
-#     of the median (4.31-4.59 and 0.87-0.93 MiB). sweep-cold and density
+#     of the median (3.33-3.49 and 0.87-0.93 MiB). sweep-cold and density
 #     have no heap value, because a set of three runs of each spread by
 #     more than half the bound: sweep-cold 1.39-1.56 MiB (12%), density
 #     0.47-0.62 MiB (26%);
