@@ -90,8 +90,8 @@ func main() {
 		}
 		return
 	}
-	if _, ok := ksa.FaultPreset(*faultName); !ok {
-		fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", *faultName)
+	if _, err := ksa.FaultNamed(*faultName); err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
 		os.Exit(2)
 	}
 	selected, sweep, err := selectExperiments(*exps, *traceOn)
@@ -100,22 +100,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc ksa.Scale
-	switch *scaleName {
-	case "default":
-		sc = ksa.DefaultScale()
-	case "quick":
-		sc = ksa.QuickScale()
-	default:
-		fmt.Fprintf(os.Stderr, "ksaexp: unknown -scale %q\n", *scaleName)
+	if flagWasSet("seed") && *seed == 0 {
+		fmt.Fprintln(os.Stderr, "ksaexp: -seed 0 is the 'keep the scale's default' sentinel; pass a nonzero seed (or omit the flag)")
 		os.Exit(2)
 	}
-	if flagWasSet("seed") {
-		if *seed == 0 {
-			fmt.Fprintln(os.Stderr, "ksaexp: -seed 0 is the 'keep the scale's default' sentinel; pass a nonzero seed (or omit the flag)")
-			os.Exit(2)
-		}
-		sc.Seed = *seed
+	sc, err := ksa.ScaleNamed(*scaleName, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
+		os.Exit(2)
 	}
 	if *parallel < 0 {
 		fmt.Fprintln(os.Stderr, "ksaexp: -parallel must be >= 0")
@@ -125,7 +117,6 @@ func main() {
 
 	var cache *ksa.ResultCache
 	if *cacheDir != "" && *cacheDir != "off" {
-		var err error
 		cache, err = ksa.OpenResultCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
@@ -160,21 +151,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep does not take -remote (point -worker-urls at the daemons instead)")
 			os.Exit(2)
 		}
-		specs, err := splitEnvs(*envs)
+		spec := ksa.SweepSpec{Scale: *scaleName, Seed: *seed, Envs: strings.Split(*envs, ","), Trials: *trials}
+		if flagWasSet("fault") {
+			spec.Fault = *faultName // sweeps default to clean runs
+		}
+		o, err := spec.Options()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
 			os.Exit(2)
 		}
-		fname := *faultName
-		if !flagWasSet("fault") {
-			fname = "" // distributed sweeps default to clean runs
-		}
 		if *serial {
-			runSerialSweep(*scaleName, *seed, specs, *trials, fname, cache)
+			runSerialSweep(o, cache)
 			return
 		}
-		runDistributedSweep(*scaleName, *seed, *envs, *trials, fname,
-			*workerURLs, *workers, *workerBin, *cacheDir)
+		runDistributedSweep(spec, *workerURLs, *workers, *workerBin, *cacheDir)
 		return
 	}
 	if *remote != "" {

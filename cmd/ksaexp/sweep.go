@@ -24,24 +24,9 @@ import (
 // every distributed run must reproduce. With -cache it reads and writes
 // the same store the worker fleet shares, so it doubles as the
 // resume-after-chaos checker (a complete cache makes it all hits).
-func runSerialSweep(scaleName string, seed uint64, specs []ksa.EnvSpec, trials int,
-	faultName string, cache *ksa.ResultCache) {
-	var sc ksa.Scale
-	if scaleName == "quick" {
-		sc = ksa.QuickScale()
-	} else {
-		sc = ksa.DefaultScale()
-	}
-	if seed != 0 {
-		sc.Seed = seed
-	}
-	sc.Parallel = 1
-	sc.Cache = cache
-	o := ksa.SweepOptions{Scale: sc, Envs: specs, Trials: trials}
-	if faultName != "" {
-		plan, _ := ksa.FaultPreset(faultName) // main checked the name
-		o.Faults = &plan
-	}
+func runSerialSweep(o ksa.SweepOptions, cache *ksa.ResultCache) {
+	o.Scale.Parallel = 1
+	o.Scale.Cache = cache
 	t0 := time.Now()
 	// Runners fail only when their context is cancelled; this one never is.
 	res, _ := ksa.RunSweep(context.Background(), o)
@@ -49,23 +34,6 @@ func runSerialSweep(scaleName string, seed uint64, specs []ksa.EnvSpec, trials i
 	fmt.Printf("digest: %s\n", res.Digest())
 	fmt.Printf("[sweep finished in %v — serial, %d cache hit(s)]\n",
 		time.Since(t0).Round(time.Millisecond), res.Par.CacheHits)
-}
-
-// splitEnvs parses the -envs list, rejecting any environment that does not
-// fit the paper machine every sweep cell runs on.
-func splitEnvs(envs string) ([]ksa.EnvSpec, error) {
-	var out []ksa.EnvSpec
-	for _, s := range strings.Split(envs, ",") {
-		e, err := ksa.ParseEnvSpec(strings.TrimSpace(s))
-		if err == nil {
-			err = e.Check(ksa.PaperMachine)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // resolveWorkerBin locates the ksad binary for -workers: an explicit
@@ -86,17 +54,10 @@ func resolveWorkerBin(explicit string) (string, error) {
 	return "", fmt.Errorf("no ksad binary found (build cmd/ksad or pass -worker-bin)")
 }
 
-// runDistributedSweep is the -exp sweep entry point.
-func runDistributedSweep(scaleName string, seed uint64, envs string, trials int,
-	faultName, workerURLs string, workers int, workerBin, cacheDir string) {
-	spec := ksa.DistSweepSpec{
-		Scale:  scaleName,
-		Seed:   seed,
-		Envs:   strings.Split(envs, ","),
-		Trials: trials,
-		Fault:  faultName,
-	}
-
+// runDistributedSweep is the -exp sweep entry point: spec has resolved
+// (main checked it), and the coordinator resolves it again to the same
+// cells.
+func runDistributedSweep(spec ksa.SweepSpec, workerURLs string, workers int, workerBin, cacheDir string) {
 	var urls []string
 	if workerURLs != "" {
 		for _, u := range strings.Split(workerURLs, ",") {

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	envKind := flag.String("env", "native", "environment: native, kvm, docker, or lightvm")
+	envKind := flag.String("env", "native", "environment kind: native, kvm, docker, or lightvm")
 	units := flag.Int("units", 64, "number of VMs/containers (ignored for native)")
 	scaleName := flag.String("scale", "default", "experiment scale: default or quick")
 	seed := flag.Uint64("seed", 0, "override the scale's seed (unset = keep)")
@@ -33,38 +33,22 @@ func main() {
 	csv := flag.Bool("csv", false, "write blame records as CSV to stdout instead of the text report")
 	flag.Parse()
 
-	var sc ksa.Scale
-	switch *scaleName {
-	case "default":
-		sc = ksa.DefaultScale()
-	case "quick":
-		sc = ksa.QuickScale()
-	default:
-		fmt.Fprintf(os.Stderr, "ksatrace: unknown -scale %q\n", *scaleName)
-		os.Exit(2)
-	}
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		if *seed == 0 {
-			fmt.Fprintln(os.Stderr, "ksatrace: -seed 0 is the 'keep the scale's default' sentinel; pass a nonzero seed (or omit the flag)")
-			os.Exit(2)
-		}
-		sc.Seed = *seed
+	if seedSet && *seed == 0 {
+		fmt.Fprintln(os.Stderr, "ksatrace: -seed 0 is the 'keep the scale's default' sentinel; pass a nonzero seed (or omit the flag)")
+		os.Exit(2)
 	}
-
-	var kind ksa.EnvKind
-	switch *envKind {
-	case "native":
-		kind = ksa.KindNative
-	case "kvm":
-		kind = ksa.KindVMs
-	case "docker":
-		kind = ksa.KindContainers
-	case "lightvm":
-		kind = ksa.KindLightVMs
-	default:
-		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q\n", *envKind)
+	sc, err := ksa.ScaleNamed(*scaleName, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksatrace:", err)
+		os.Exit(2)
+	}
+	// Specialized kernels are generated from a workload profile, which only
+	// sweeps and experiments derive (ksaexp -exp sweep -envs specialized-N).
+	kind, ok := ksa.ParseEnvKind(*envKind)
+	if !ok || kind == ksa.KindSpecialized {
+		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q (want native, kvm, docker, or lightvm)\n", *envKind)
 		os.Exit(2)
 	}
 	if *threshold <= 0 {

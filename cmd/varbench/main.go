@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	varbench [-corpus file] [-env native|kvm|docker] [-units N]
+//	varbench [-corpus file] [-env native|kvm|docker|lightvm] [-units N]
 //	         [-cores N] [-mem GB] [-iters N] [-warmup N] [-seed N]
 //	         [-trials N] [-parallel N] [-cache dir|off] [-cache-verify]
 //	         [-trace] [-fault name|list]
@@ -38,8 +38,8 @@ import (
 
 func main() {
 	corpusPath := flag.String("corpus", "", "corpus file from ksagen (default: generate)")
-	envKind := flag.String("env", "native", "environment: native, kvm, or docker")
-	units := flag.Int("units", 64, "number of VMs/containers (kvm and docker)")
+	envKind := flag.String("env", "native", "environment kind: native, kvm, docker, or lightvm")
+	units := flag.Int("units", 64, "number of VMs/containers (ignored for native)")
 	cores := flag.Int("cores", 64, "machine cores")
 	mem := flag.Float64("mem", 32, "machine memory (GB)")
 	iters := flag.Int("iters", 20, "recorded iterations per program (0 = warmup only)")
@@ -61,14 +61,10 @@ func main() {
 		}
 		return
 	}
-	var faults *ksa.FaultPlan
-	if *faultName != "" {
-		p, ok := ksa.FaultPreset(*faultName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "varbench: unknown -fault %q (try -fault list)\n", *faultName)
-			os.Exit(2)
-		}
-		faults = &p
+	faults, err := ksa.FaultNamed(*faultName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "varbench:", err)
+		os.Exit(2)
 	}
 
 	if *seed == 0 {
@@ -85,6 +81,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// One environment: a -trials sweep is bounded like every other grid.
+	if err := ksa.CheckSweepSize(1, *trials); err != nil {
+		fmt.Fprintln(os.Stderr, "varbench:", err)
+		os.Exit(2)
+	}
 	// The flag's zero is explicit (the default is 20), so it maps to the
 	// library's literal-zero sentinel rather than "use the default".
 	itersOpt := *iters
@@ -93,16 +94,11 @@ func main() {
 	}
 
 	m := ksa.Machine{Cores: *cores, MemGB: *mem}
-	var kind ksa.EnvKind
-	switch *envKind {
-	case "native":
-		kind = ksa.KindNative
-	case "kvm":
-		kind = ksa.KindVMs
-	case "docker":
-		kind = ksa.KindContainers
-	default:
-		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q\n", *envKind)
+	// Specialized kernels are generated from a workload profile, which only
+	// sweeps and experiments derive (ksaexp -exp sweep -envs specialized-N).
+	kind, ok := ksa.ParseEnvKind(*envKind)
+	if !ok || kind == ksa.KindSpecialized {
+		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q (want native, kvm, docker, or lightvm)\n", *envKind)
 		os.Exit(2)
 	}
 
@@ -134,7 +130,6 @@ func main() {
 
 	var cache *ksa.ResultCache
 	if *cacheDir != "" && *cacheDir != "off" {
-		var err error
 		cache, err = ksa.OpenResultCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "varbench:", err)

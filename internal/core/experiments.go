@@ -16,6 +16,7 @@ import (
 	"ksa/internal/resultcache"
 	"ksa/internal/runner"
 	"ksa/internal/sim"
+	"ksa/internal/specialize"
 	"ksa/internal/stats"
 	"ksa/internal/syscalls"
 	"ksa/internal/varbench"
@@ -125,11 +126,38 @@ func QuickScale() Scale {
 	}
 }
 
+// ScaleNamed resolves a scale preset by name — "" or "default", or
+// "quick" — with seed overriding the preset's root seed when nonzero.
+func ScaleNamed(name string, seed uint64) (Scale, error) {
+	var sc Scale
+	switch name {
+	case "", "default":
+		sc = DefaultScale()
+	case "quick":
+		sc = QuickScale()
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (want default or quick)", name)
+	}
+	if seed != 0 {
+		sc.Seed = seed
+	}
+	return sc, nil
+}
+
 // GenerateCorpus runs the coverage-guided generator at this scale.
 func (sc Scale) GenerateCorpus() (*corpus.Corpus, fuzz.Stats) {
 	opts := fuzz.NewOptions(sc.Seed)
 	opts.TargetPrograms = sc.CorpusPrograms
 	return fuzz.Generate(opts)
+}
+
+// profile derives c's workload profile, the input specialized kernels
+// are generated from. Its seed derives from a fixed key, not from any
+// cell, so every experiment and execution mode (serial, parallel, daemon,
+// distributed) that profiles the same corpus deploys the same kernels and
+// shares their cache entries.
+func (sc Scale) profile(c *corpus.Corpus) *specialize.Profile {
+	return specialize.ProfileCorpus(c, syscalls.Default(), runner.DeriveSeed(sc.Seed, "specialize/profile"), 0)
 }
 
 func (sc Scale) vbOptions() varbench.Options {

@@ -129,6 +129,10 @@ func RunInterference(ctx context.Context, sc Scale, plan fault.Plan) (Interferen
 	return InterferenceResult{Plan: plan.Name, Rows: rows[:m.Completed], Par: m}, err
 }
 
+// Fanout returns the metrics of the fan-out the result's cells ran as,
+// cache counts included.
+func (r InterferenceResult) Fanout() runner.Metrics { return r.Par }
+
 // Render formats the ablation table.
 func (r InterferenceResult) Render() string {
 	t := &report.Table{

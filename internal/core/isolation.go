@@ -11,7 +11,6 @@ import (
 	"ksa/internal/report"
 	"ksa/internal/runner"
 	"ksa/internal/specialize"
-	"ksa/internal/syscalls"
 	"ksa/internal/varbench"
 )
 
@@ -85,10 +84,7 @@ func isolationEnvs(prof *specialize.Profile) []EnvSpec {
 // recorder is not serializable), exactly like traced runs.
 func RunIsolation(ctx context.Context, sc Scale) (IsolationResult, error) {
 	c, _ := sc.GenerateCorpus()
-	// The profiling seed key matches PlanSweep's and RunSpecialize's, so
-	// the specialized cell deploys the same kernels those surfaces do.
-	prof := specialize.ProfileCorpus(c, syscalls.Default(),
-		runner.DeriveSeed(sc.Seed, "specialize/profile"), 0)
+	prof := sc.profile(c)
 	machine := platform.PaperMachine
 
 	var jobs []runner.Job[IsolationRow]
@@ -151,6 +147,9 @@ func isolationRow(env EnvSpec, r *varbench.Result) IsolationRow {
 	}
 	return row
 }
+
+// Fanout returns the metrics of the fan-out the result's cells ran as.
+func (r IsolationResult) Fanout() runner.Metrics { return r.Par }
 
 // Render formats the experiment: one grep-able score line per environment,
 // the score table, each environment's top leaking locks, and the digest.

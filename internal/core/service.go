@@ -1,19 +1,97 @@
-// Service-facing helpers: the pieces a long-running control plane (the
-// ksad daemon) needs from the experiment layer — parsing environment specs
-// received over the wire, and rendering and fingerprinting sweep results.
+// Service-facing helpers: the pieces every boundary that takes requests
+// from outside (ksad's HTTP bodies, the distributed coordinator, the CLI
+// flags) needs from the experiment layer — resolving a sweep named on the
+// wire, and rendering and fingerprinting sweep results.
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"ksa/internal/fault"
 	"ksa/internal/platform"
 	"ksa/internal/report"
 	"ksa/internal/resultcache/codec"
 )
+
+// MaxSweepCells bounds every sweep grid a request may name: its trials,
+// and its envs × trials, stay below it. PlanSweep lists every cell up
+// front, so an unbounded count would let one request exhaust memory.
+const MaxSweepCells = 1 << 16
+
+// SweepSpec is the wire form of a sweep grid, as HTTP bodies and CLI
+// flags carry it. Every boundary that accepts a sweep from outside
+// resolves it through Options, so they all accept the same grids and
+// resolve them to the same cells.
+type SweepSpec struct {
+	Scale  string   // scale preset (ScaleNamed)
+	Seed   uint64   // root-seed override when nonzero
+	Envs   []string // environment specs (ParseEnvSpec): "native", "kvm-8", …
+	Trials int      // trials per environment (0 = 1)
+	Fault  string   // interference preset (FaultNamed; "" = clean)
+}
+
+// Options resolves the spec to the sweep it names on the paper machine.
+// It rejects an unknown scale or fault preset, a missing, malformed or
+// duplicate environment, one that does not fit the machine, negative
+// trials, and a grid that reaches MaxSweepCells — all before anything is
+// planned.
+func (s SweepSpec) Options() (SweepOptions, error) {
+	sc, err := ScaleNamed(s.Scale, s.Seed)
+	if err != nil {
+		return SweepOptions{}, err
+	}
+	if len(s.Envs) == 0 {
+		return SweepOptions{}, errors.New("a sweep needs at least one environment")
+	}
+	envs, err := ParseEnvSpecs(s.Envs)
+	if err != nil {
+		return SweepOptions{}, err
+	}
+	for _, e := range envs {
+		if err := e.Check(platform.PaperMachine); err != nil {
+			return SweepOptions{}, err
+		}
+	}
+	if err := CheckSweepSize(len(envs), s.Trials); err != nil {
+		return SweepOptions{}, err
+	}
+	plan, err := FaultNamed(s.Fault)
+	if err != nil {
+		return SweepOptions{}, err
+	}
+	return SweepOptions{Scale: sc, Machine: platform.PaperMachine, Envs: envs,
+		Trials: s.Trials, Faults: plan}, nil
+}
+
+// CheckSweepSize rejects a negative trial count and a grid whose trials,
+// or envs × trials, reach MaxSweepCells (trials of 0 count as 1).
+func CheckSweepSize(envs, trials int) error {
+	if trials < 0 {
+		return fmt.Errorf("negative trials %d", trials)
+	}
+	if t := max(trials, 1); t >= MaxSweepCells || envs*t >= MaxSweepCells {
+		return fmt.Errorf("%d envs × %d trials reach the %d-cell sweep limit", envs, t, MaxSweepCells)
+	}
+	return nil
+}
+
+// FaultNamed resolves an interference preset by name: nil for "", the
+// preset's plan otherwise.
+func FaultNamed(name string) (*fault.Plan, error) {
+	if name == "" {
+		return nil, nil
+	}
+	plan, ok := fault.Preset(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown fault preset %q (have %s)", name, strings.Join(fault.Presets(), ", "))
+	}
+	return &plan, nil
+}
 
 // ParseEnvSpec parses the canonical environment-spec string form —
 // "native", "kvm-8", "docker-64", "lightvm-16", "specialized-8" — the

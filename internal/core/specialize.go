@@ -74,10 +74,9 @@ func RunSpecialize(ctx context.Context, sc Scale) (SpecializeResult, error) {
 	digest := sc.corpusDigest(c)
 	tab := syscalls.Default()
 
-	// Phase 1+2: profile and generate. The profiling seed key matches
-	// PlanSweep's, so sweep cells over "specialized-N" and this experiment
-	// generate identical kernels and share cache entries.
-	prof := specialize.ProfileCorpus(c, tab, runner.DeriveSeed(sc.Seed, "specialize/profile"), 0)
+	// Phase 1+2: profile and generate (sweep cells over "specialized-N"
+	// deploy the same kernels and share their cache entries).
+	prof := sc.profile(c)
 	red := specialize.Specialize(prof, tab)
 	res := SpecializeResult{
 		CorpusCalls:       c.NumCalls(),

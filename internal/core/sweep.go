@@ -188,14 +188,10 @@ func PlanSweep(o SweepOptions) SweepPlan {
 	// Specialized environments need the workload profile their per-tenant
 	// kernels are generated from. Profile the sweep's own corpus once and
 	// attach it to every specialized spec that arrived without one — on a
-	// copy, so the caller's Envs slice is never mutated. The profiling seed
-	// derives from a fixed key, not the cell grid, so every execution mode
-	// (serial, parallel, daemon, distributed) generates the same profile and
-	// therefore the same kernels and cache keys.
+	// copy, so the caller's Envs slice is never mutated.
 	for i, env := range o.Envs {
 		if env.Kind == platform.KindSpecialized && env.Profile == nil {
-			prof := specialize.ProfileCorpus(o.Corpus, syscalls.Default(),
-				runner.DeriveSeed(o.Scale.Seed, "specialize/profile"), 0)
+			prof := o.Scale.profile(o.Corpus)
 			envs := make([]EnvSpec, len(o.Envs))
 			copy(envs, o.Envs)
 			for j := i; j < len(envs); j++ {

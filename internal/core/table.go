@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ksa/internal/fault"
 	"ksa/internal/platform"
 )
 
@@ -52,11 +51,11 @@ var Experiments = []Experiment{
 		if faultName == "" {
 			faultName = "mixed"
 		}
-		plan, ok := fault.Preset(faultName)
-		if !ok {
-			return Output{}, fmt.Errorf("unknown fault preset %q", faultName)
+		plan, err := FaultNamed(faultName)
+		if err != nil {
+			return Output{}, err
 		}
-		return output(RunInterference(ctx, sc, plan))
+		return output(RunInterference(ctx, sc, *plan))
 	}},
 	typed("density", false, RunDensity),
 	typed("specialize", false, RunSpecialize),

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -151,12 +150,4 @@ func TestEventMarshalDataRoundTrips(t *testing.T) {
 			t.Fatalf("frame %s missing %s", s, want)
 		}
 	}
-}
-
-func TestSortedEventTypesCoversLifecycle(t *testing.T) {
-	ts := SortedEventTypes()
-	if len(ts) != 8 {
-		t.Fatalf("got %d event types: %v", len(ts), ts)
-	}
-	_ = fmt.Sprint(ts)
 }

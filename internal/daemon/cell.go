@@ -14,8 +14,6 @@ import (
 
 	"ksa/internal/core"
 	"ksa/internal/corpus"
-	"ksa/internal/fault"
-	"ksa/internal/platform"
 	"ksa/internal/resultcache"
 	"ksa/internal/resultcache/codec"
 )
@@ -51,35 +49,33 @@ type CellSpec struct {
 	LeaseMS int64 `json:"lease_ms,omitempty"`
 }
 
-// Validate normalizes defaults and rejects malformed cell specs.
-func (s *CellSpec) Validate() error {
-	switch s.Scale {
-	case "":
-		s.Scale = "default"
-	case "default", "quick":
-	default:
-		return fmt.Errorf("unknown scale %q (want default or quick)", s.Scale)
+// Validate rejects malformed cell specs.
+func (s CellSpec) Validate() error {
+	_, err := s.options()
+	return err
+}
+
+// options resolves the cell's grid — its one environment, trials 0 …
+// Trial — through core.SweepSpec, so a cell is accepted exactly when the
+// sweep it belongs to would be, and checks the lease fields.
+func (s CellSpec) options() (core.SweepOptions, error) {
+	if s.Trial < 0 {
+		return core.SweepOptions{}, fmt.Errorf("negative trial %d", s.Trial)
 	}
-	env, err := core.ParseEnvSpec(s.Env)
+	o, err := core.SweepSpec{Scale: s.Scale, Seed: s.Seed, Envs: []string{s.Env},
+		Trials: s.Trial + 1, Fault: s.Fault}.Options()
 	if err != nil {
-		return err
-	}
-	if err := env.Check(platform.PaperMachine); err != nil {
-		return err
-	}
-	if s.Trial < 0 || s.Trial >= SweepCellLimit {
-		return fmt.Errorf("trial %d outside [0, %d)", s.Trial, SweepCellLimit)
-	}
-	if s.Fault != "" {
-		if _, ok := fault.Preset(s.Fault); !ok {
-			return fmt.Errorf("unknown fault preset %q", s.Fault)
-		}
+		return o, err
 	}
 	if s.LeaseMS < 0 {
-		return fmt.Errorf("negative lease_ms %d", s.LeaseMS)
+		return o, fmt.Errorf("negative lease_ms %d", s.LeaseMS)
 	}
-	return resultcache.CheckOwner(s.Owner)
+	return o, resultcache.CheckOwner(s.Owner)
 }
+
+// badSpec marks a request RunCell rejected before running anything: the
+// router answers it with a 400.
+type badSpec struct{ error }
 
 // CellResult is the wire form of a completed cell.
 type CellResult struct {
@@ -110,40 +106,36 @@ func (e *LeaseHeldError) Error() string {
 	return fmt.Sprintf("cell lease held by %s until %s", e.Holder, e.Expires.Format(time.RFC3339))
 }
 
-// ScaleFor resolves a named scale preset plus an optional root-seed
-// override — the one mapping from wire names to core.Scale, shared by job
-// admission, the cell endpoint, and the distributed coordinator.
+// ScaleFor is core.ScaleNamed for callers that name a preset they know:
+// any name but "quick" gives the default scale.
 func ScaleFor(name string, seed uint64) core.Scale {
-	sc := core.DefaultScale()
-	if name == "quick" {
-		sc = core.QuickScale()
+	if name != "quick" {
+		name = ""
 	}
-	if seed != 0 {
-		sc.Seed = seed
-	}
+	sc, _ := core.ScaleNamed(name, seed)
 	return sc
 }
 
-// corpusKey keys the daemon's corpus memo: scale name and the corpus-
-// shaping seed fully determine generation.
-func corpusKey(scale string, seed uint64) string {
-	return fmt.Sprintf("%s/%#016x", scale, seed)
+// corpusKey keys the daemon's corpus memo: a scale's program count and
+// seed fully determine the corpus it generates.
+type corpusKey struct {
+	programs int
+	seed     uint64
 }
 
-// corpusFor memoizes corpus generation per (scale, seed): every cell of a
+// corpusFor memoizes corpus generation per corpusKey: every cell of a
 // distributed sweep arrives as its own HTTP request, and regenerating the
 // corpus per cell would dwarf the simulation it feeds.
-func (d *Daemon) corpusFor(scale string, seed uint64) *corpus.Corpus {
-	key := corpusKey(scale, seed)
+func (d *Daemon) corpusFor(sc core.Scale) *corpus.Corpus {
+	key := corpusKey{sc.CorpusPrograms, sc.Seed}
 	d.corpusMu.Lock()
 	defer d.corpusMu.Unlock()
 	if c, ok := d.corpora[key]; ok {
 		return c
 	}
 	if d.corpora == nil {
-		d.corpora = map[string]*corpus.Corpus{}
+		d.corpora = map[corpusKey]*corpus.Corpus{}
 	}
-	sc := ScaleFor(scale, seed)
 	c, _ := sc.GenerateCorpus()
 	d.corpora[key] = c
 	return c
@@ -160,23 +152,13 @@ func (d *Daemon) corpusFor(scale string, seed uint64) *corpus.Corpus {
 // mid-simulation. Completed cells short-circuit before leasing: an entry
 // on disk beats any claim.
 func (d *Daemon) RunCell(ctx context.Context, spec CellSpec) (CellResult, error) {
-	if err := spec.Validate(); err != nil {
-		return CellResult{}, err
+	o, err := spec.options()
+	if err != nil {
+		return CellResult{}, badSpec{err}
 	}
-	sc := ScaleFor(spec.Scale, spec.Seed)
-	sc.Cache = d.cfg.Cache
-	sc.Priority = spec.Priority
-	env, _ := core.ParseEnvSpec(spec.Env)
-	o := core.SweepOptions{
-		Scale:  sc,
-		Envs:   []core.EnvSpec{env},
-		Trials: spec.Trial + 1,
-		Corpus: d.corpusFor(spec.Scale, sc.Seed),
-	}
-	if spec.Fault != "" {
-		plan, _ := fault.Preset(spec.Fault)
-		o.Faults = &plan
-	}
+	o.Scale.Cache = d.cfg.Cache
+	o.Scale.Priority = spec.Priority
+	o.Corpus = d.corpusFor(o.Scale)
 	p := core.PlanSweep(o)
 	cell := p.Cells[spec.Trial] // single env: index == trial
 	res := CellResult{JobKey: cell.JobKey, Seed: cell.Seed}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"ksa/internal/core"
 	"ksa/internal/corpus"
-	"ksa/internal/fault"
 	"ksa/internal/resultcache"
 	"ksa/internal/runner"
 )
@@ -42,9 +40,9 @@ type Daemon struct {
 	closed bool
 
 	// corpusMu/corpora memoize corpus generation for the worker-mode cell
-	// endpoint (see cell.go), keyed by corpusKey(scale, seed).
+	// endpoint (see cell.go).
 	corpusMu sync.Mutex
-	corpora  map[string]*corpus.Corpus
+	corpora  map[corpusKey]*corpus.Corpus
 }
 
 // New starts a daemon with its worker pool. Close it when done.
@@ -212,16 +210,6 @@ func (d *Daemon) Metrics() MetricsInfo {
 	return m
 }
 
-// scale builds the job's experiment scale: the named preset, the seed
-// override, the shared cache, and the shared pool every fan-out runs on.
-func (d *Daemon) scale(spec JobSpec) core.Scale {
-	sc := ScaleFor(spec.Scale, spec.Seed)
-	sc.Cache = d.cfg.Cache
-	sc.Exec = d.pool
-	sc.Priority = spec.Priority
-	return sc
-}
-
 // run executes one job to a terminal state.
 func (d *Daemon) run(ctx context.Context, j *job) {
 	defer d.wg.Done()
@@ -245,17 +233,21 @@ func (d *Daemon) run(ctx context.Context, j *job) {
 	j.log.Append(EventStarted, nil)
 	d.logf("%s started", j.id)
 
+	// Submit validated the spec. The resolved scale runs on the shared
+	// cache and the shared pool every fan-out uses.
+	o, _ := j.spec.resolve()
+	o.Scale.Cache = d.cfg.Cache
+	o.Scale.Exec = d.pool
+	o.Scale.Priority = j.spec.Priority
 	var (
 		res *Result
 		err error
 	)
 	switch j.spec.Type {
 	case TypeSweep:
-		res, err = d.runSweep(ctx, j)
-	case TypeInterference:
-		res, err = d.runInterference(ctx, j)
+		res, err = d.runSweep(ctx, j, o)
 	case TypeExperiment:
-		res, err = d.runExperiment(ctx, j)
+		res, err = d.runExperiment(ctx, j, o.Scale)
 	}
 	switch {
 	case err == nil:
@@ -297,24 +289,8 @@ func (d *Daemon) finish(j *job, st State, res *Result, err error) {
 	d.logf("%s %s", j.id, st)
 }
 
-// sweepOptions translates a sweep spec; callers guarantee Validate passed.
-func (d *Daemon) sweepOptions(j *job) core.SweepOptions {
-	envs, _ := core.ParseEnvSpecs(j.spec.Envs)
-	o := core.SweepOptions{
-		Scale:  d.scale(j.spec),
-		Envs:   envs,
-		Trials: j.spec.Trials,
-		Trace:  j.spec.Trace,
-	}
-	if j.spec.Fault != "" {
-		plan, _ := fault.Preset(j.spec.Fault)
-		o.Faults = &plan
-	}
-	return o
-}
-
-func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
-	o := d.sweepOptions(j)
+func (d *Daemon) runSweep(ctx context.Context, j *job, o core.SweepOptions) (*Result, error) {
+	o.Trace = j.spec.Trace
 	o.Progress = func(p core.SweepProgress) {
 		j.log.Append(EventProgress, map[string]any{
 			"cell": p.Key, "index": p.Index, "total": p.Total, "cache_hit": p.CacheHit,
@@ -350,37 +326,18 @@ func (d *Daemon) runSweep(ctx context.Context, j *job) (*Result, error) {
 	}, nil
 }
 
-func (d *Daemon) runInterference(ctx context.Context, j *job) (*Result, error) {
-	name := j.spec.Fault
-	if name == "" {
-		name = "mixed"
-	}
-	plan, _ := fault.Preset(name)
-	res, err := core.RunInterference(ctx, d.scale(j.spec), plan)
+func (d *Daemon) runExperiment(ctx context.Context, j *job, sc core.Scale) (*Result, error) {
+	exp, _ := core.LookupExperiment(j.spec.Exp) // Submit validated the spec
+	out, err := exp.Run(ctx, sc, j.spec.Fault)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Rendered:  res.Render(),
-		Cells:     len(res.Rows),
-		CacheHits: res.Par.CacheHits, CacheMisses: res.Par.CacheMisses,
-	}, nil
-}
-
-func (d *Daemon) runExperiment(ctx context.Context, j *job) (*Result, error) {
-	exp, _ := core.LookupExperiment(j.spec.Exp) // Validate passed
-	out, err := exp.Run(ctx, d.scale(j.spec), j.spec.Fault)
-	if err != nil {
-		return nil, err
+	res := &Result{Rendered: out.Text}
+	// Results whose cells ran as one fan-out (interference, isolation)
+	// report its cell and cache counts, as sweeps do.
+	if f, ok := out.Result.(interface{ Fanout() runner.Metrics }); ok {
+		m := f.Fanout()
+		res.Cells, res.CacheHits, res.CacheMisses = m.Completed, m.CacheHits, m.CacheMisses
 	}
-	return &Result{Rendered: out.Text}, nil
-}
-
-// SortedEventTypes exists for documentation and tests: the closed set of
-// event types a stream may carry.
-func SortedEventTypes() []string {
-	ts := []string{EventQueued, EventStarted, EventProgress, EventCache,
-		EventBlame, EventDone, EventCanceled, EventFailed}
-	sort.Strings(ts)
-	return ts
+	return res, nil
 }

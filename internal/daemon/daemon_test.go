@@ -14,6 +14,7 @@ import (
 
 	"ksa/internal/core"
 	"ksa/internal/daemon"
+	"ksa/internal/fault"
 	"ksa/internal/resultcache"
 	"ksa/internal/sim"
 )
@@ -342,6 +343,49 @@ func TestDaemonExperimentJob(t *testing.T) {
 	}
 }
 
+// TestDaemonExperimentJobReportsFanout: an experiment job whose result
+// carries its fan-out's metrics reports one cell per row and the hits and
+// misses of the job's own lookups, cold and warm, equal to the same runs
+// in-process against a fresh store. Isolation never consults the store,
+// so it reports cells only.
+func TestDaemonExperimentJobReportsFanout(t *testing.T) {
+	_, cl := newTestServer(t, 2, true)
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.QuickScale()
+	sc.Cache = store
+	plan, _ := fault.Preset("mixed")
+	for _, run := range []string{"cold", "warm"} {
+		local, err := core.RunInterference(context.Background(), sc, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := submitAndWait(t, cl, daemon.JobSpec{Type: daemon.TypeExperiment, Exp: "interference", Scale: "quick"})
+		if info.State != daemon.StateDone {
+			t.Fatalf("%s interference job: state %s (%s)", run, info.State, info.Error)
+		}
+		r := info.Result
+		if r.Cells != len(local.Rows) || r.CacheHits != local.Par.CacheHits || r.CacheMisses != local.Par.CacheMisses {
+			t.Errorf("%s interference job: %d cells, %d hits / %d misses; in-process run: %d, %d / %d",
+				run, r.Cells, r.CacheHits, r.CacheMisses, len(local.Rows), local.Par.CacheHits, local.Par.CacheMisses)
+		}
+		if r.Rendered != local.Render() {
+			t.Errorf("%s interference job renders differently from the in-process run", run)
+		}
+	}
+
+	info := submitAndWait(t, cl, daemon.JobSpec{Type: daemon.TypeExperiment, Exp: "isolation", Scale: "quick"})
+	local, err := core.RunIsolation(context.Background(), core.QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := info.Result; info.State != daemon.StateDone || r.Cells != len(local.Rows) || r.CacheHits+r.CacheMisses != 0 {
+		t.Errorf("isolation job: state %s, result %+v; want %d cells and no lookups", info.State, r, len(local.Rows))
+	}
+}
+
 func TestDaemonCancelBeforeStartAndTerminalNoop(t *testing.T) {
 	d, _ := newTestServer(t, 1, false)
 	info, err := d.Submit(daemon.JobSpec{Type: daemon.TypeExperiment, Exp: "table1"})
@@ -401,9 +445,11 @@ func TestRouterErrors(t *testing.T) {
 	check(post(`{"type":"experiment","exp":"nope"}`), http.StatusBadRequest)                // unknown exp
 	check(post(`{"type":"sweep","envs":["native"],"fault":"nope"}`), http.StatusBadRequest) // unknown fault
 	check(post(`{"type":"sweep","envs":["native"],"scale":"huge"}`), http.StatusBadRequest) // unknown scale
-	check(post(`{"type":"interference","envs":["native"]}`), http.StatusBadRequest)         // envs on interference
 	// A grid at or past the sweep cell limit is refused before planning.
 	check(post(`{"type":"sweep","envs":["native"],"trials":1099511627776}`), http.StatusBadRequest)
+	// The interference ablation is an experiment job, and it takes no envs.
+	check(post(`{"type":"interference"}`), http.StatusBadRequest)
+	check(post(`{"type":"experiment","exp":"interference","envs":["native"]}`), http.StatusBadRequest)
 
 	get := func(path string) *http.Response {
 		resp, err := cl.HTTP.Get(base + path)
@@ -436,8 +482,8 @@ func TestJobSpecValidate(t *testing.T) {
 	good := []daemon.JobSpec{
 		{Type: "sweep", Envs: []string{"native"}},
 		{Type: "sweep", Envs: []string{"kvm-8", "docker-64", "lightvm-16"}, Trials: 3, Fault: "mixed"},
-		{Type: "interference"},
-		{Type: "interference", Fault: "memstorm"},
+		{Type: "experiment", Exp: "interference"},
+		{Type: "experiment", Exp: "interference", Fault: "memstorm"},
 		{Type: "experiment", Exp: "fig3", Scale: "quick", Seed: 42, Priority: 5},
 		{Type: "experiment", Exp: "blame"},
 		{Type: "sweep", Envs: dockerEnvs(64), Trials: 100},
@@ -458,20 +504,24 @@ func TestJobSpecValidate(t *testing.T) {
 		{Type: "experiment"},
 		{Type: "sweep", Envs: []string{"kvm-7"}},
 		{Type: "sweep", Envs: []string{"native", "lightvm-3"}},
-		{Type: "interference", Envs: []string{"native"}},
+		{Type: "interference"},
+		{Type: "experiment", Exp: "interference", Envs: []string{"native"}},
+		{Type: "experiment", Exp: "interference", Fault: "gremlins"},
+		{Type: "experiment", Exp: "table2", Scale: "huge"},
 		{Type: "sweep", Envs: []string{"native"}, Scale: "enormous"},
 		{Type: "sweep", Envs: []string{"native"}, Fault: "gremlins"},
 		{Type: "sweep", Envs: []string{"native"}, Trials: 1 << 40},
-		{Type: "sweep", Envs: dockerEnvs(64), Trials: daemon.SweepCellLimit / 64},
+		{Type: "sweep", Envs: dockerEnvs(64), Trials: core.MaxSweepCells / 64},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
 	}
-	// The cell boundary bounds the trial index the same way.
-	for trial, ok := range map[int]bool{0: true, daemon.SweepCellLimit - 1: true,
-		daemon.SweepCellLimit: false, 1 << 40: false} {
+	// The cell boundary bounds the trial index the same way: a cell at
+	// trial t belongs to a grid of t+1 trials.
+	for trial, ok := range map[int]bool{0: true, core.MaxSweepCells - 2: true,
+		core.MaxSweepCells - 1: false, 1 << 40: false, -1: false} {
 		cs := daemon.CellSpec{Env: "native", Trial: trial}
 		if err := cs.Validate(); (err == nil) != ok {
 			t.Errorf("cell trial %d: Validate = %v, want accepted=%v", trial, err, ok)

@@ -25,7 +25,7 @@ func plannedCells(t *testing.T, envs []string, trials int) int {
 
 // FuzzJobSpec drives the job-submission boundary with arbitrary JSON:
 // Validate never panics, and every sweep spec it accepts plans fewer than
-// SweepCellLimit cells and builds each of its environments on the paper
+// core.MaxSweepCells cells and builds each of its environments on the paper
 // machine — the machine the daemon's sweeps run on — without a panic.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -33,7 +33,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"type":"sweep","envs":["native","kvm-8","docker-64","lightvm-16","specialized:8"],"trials":2}`,
 		`{"type":"sweep","envs":["docker-0"]}`,
 		`{"type":"experiment","exp":"blame","scale":"quick"}`,
-		`{"type":"interference","fault":"mixed"}`,
+		`{"type":"experiment","exp":"interference","fault":"mixed"}`,
 		`{"type":"sweep","envs":["lightvm-128"],"fault":"nope"}`,
 		`{"type":"sweep","envs":["native"],"trials":1099511627776}`,
 		`{"type":"sweep","envs":["native","kvm-2"],"trials":32767}`,
@@ -48,8 +48,8 @@ func FuzzJobSpec(f *testing.F) {
 		if spec.Validate() != nil || spec.Type != daemon.TypeSweep {
 			return
 		}
-		if n := plannedCells(t, spec.Envs, spec.Trials); n >= daemon.SweepCellLimit {
-			t.Fatalf("Validate accepted a sweep of %d cells, limit %d", n, daemon.SweepCellLimit)
+		if n := plannedCells(t, spec.Envs, spec.Trials); n >= core.MaxSweepCells {
+			t.Fatalf("Validate accepted a sweep of %d cells, limit %d", n, core.MaxSweepCells)
 		}
 		envs, _ := core.ParseEnvSpecs(spec.Envs)
 		for _, e := range envs {
@@ -60,7 +60,7 @@ func FuzzJobSpec(f *testing.F) {
 
 // FuzzCellSpec drives the worker-mode cell boundary the same way: every
 // cell spec Validate accepts plans — as the cell endpoint does, trials
-// 0 … Trial — fewer than SweepCellLimit cells, and builds on the paper
+// 0 … Trial — fewer than core.MaxSweepCells cells, and builds on the paper
 // machine without a panic.
 func FuzzCellSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -77,9 +77,9 @@ func FuzzCellSpec(f *testing.F) {
 		if json.Unmarshal(data, &spec) != nil || spec.Validate() != nil {
 			return
 		}
-		if n := plannedCells(t, []string{spec.Env}, spec.Trial+1); n > daemon.SweepCellLimit {
+		if n := plannedCells(t, []string{spec.Env}, spec.Trial+1); n >= core.MaxSweepCells {
 			t.Fatalf("Validate accepted trial %d: the cell plans %d cells, limit %d",
-				spec.Trial, n, daemon.SweepCellLimit)
+				spec.Trial, n, core.MaxSweepCells)
 		}
 		env, _ := core.ParseEnvSpec(spec.Env)
 		env.Build(sim.NewEngine(), platform.PaperMachine, 1)

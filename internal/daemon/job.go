@@ -1,35 +1,24 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"ksa/internal/core"
-	"ksa/internal/fault"
-	"ksa/internal/platform"
 )
 
 // Job types accepted by the API.
 const (
-	TypeSweep        = "sweep"
-	TypeInterference = "interference"
-	TypeExperiment   = "experiment"
+	TypeSweep      = "sweep"
+	TypeExperiment = "experiment"
 )
-
-// SweepCellLimit bounds the grids ksad plans: a sweep job's envs × trials
-// and a cell's trial index must stay below it. PlanSweep lists every cell
-// up front, so an unbounded count would let one request exhaust the
-// daemon's memory; the limit still admits grids far beyond the 64-env ×
-// 100-trial sweeps the distributed chaos test drives.
-const SweepCellLimit = 1 << 16
 
 // JobSpec is the wire form of a job submission (POST /v1/jobs).
 type JobSpec struct {
 	// Type selects the job kind: "sweep" (environment × trial varbench
-	// grid), "interference" (the fault-plan ablation), or "experiment"
-	// (one named paper table/figure).
+	// grid) or "experiment" (one named entry of the experiment table).
 	Type string `json:"type"`
 	// Exp names the experiment for Type "experiment": any entry of
 	// core.Experiments.
@@ -44,7 +33,7 @@ type JobSpec struct {
 	// Trials is the sweep's repetitions per environment (default 1).
 	Trials int `json:"trials,omitempty"`
 	// Fault names an interference preset: the plan dosed over a sweep, or
-	// the plan of an interference job (default "mixed").
+	// the plan of the interference experiment (default "mixed").
 	Fault string `json:"fault,omitempty"`
 	// Trace attaches tracers to a sweep's kernels; traced cells bypass
 	// the cache and emit per-cell blame events.
@@ -56,56 +45,39 @@ type JobSpec struct {
 
 // Validate normalizes defaults and rejects malformed specs.
 func (s *JobSpec) Validate() error {
-	switch s.Scale {
-	case "":
+	if s.Scale == "" {
 		s.Scale = "default"
-	case "default", "quick":
-	default:
-		return fmt.Errorf("unknown scale %q (want default or quick)", s.Scale)
 	}
-	if s.Trials < 0 {
-		return fmt.Errorf("negative trials %d", s.Trials)
-	}
-	if s.Fault != "" {
-		if _, ok := fault.Preset(s.Fault); !ok {
-			return fmt.Errorf("unknown fault preset %q (have %s)",
-				s.Fault, strings.Join(fault.Presets(), ", "))
-		}
-	}
+	_, err := s.resolve()
+	return err
+}
+
+// resolve validates the spec and returns what it runs at: a sweep's grid
+// as core.SweepSpec resolves it, or an experiment's scale alone.
+func (s JobSpec) resolve() (core.SweepOptions, error) {
 	switch s.Type {
 	case TypeSweep:
-		if len(s.Envs) == 0 {
-			return fmt.Errorf("sweep jobs need at least one environment")
-		}
-		envs, err := core.ParseEnvSpecs(s.Envs)
-		if err != nil {
-			return err
-		}
-		for _, e := range envs {
-			if err := e.Check(platform.PaperMachine); err != nil {
-				return err
-			}
-		}
-		if trials := max(s.Trials, 1); trials >= SweepCellLimit || len(envs)*trials >= SweepCellLimit {
-			return fmt.Errorf("%d envs × %d trials reach the %d-cell sweep limit",
-				len(envs), trials, SweepCellLimit)
-		}
-	case TypeInterference:
-		if len(s.Envs) != 0 {
-			return fmt.Errorf("interference jobs take no envs (the ablation grid is fixed)")
-		}
+		return core.SweepSpec{Scale: s.Scale, Seed: s.Seed, Envs: s.Envs, Trials: s.Trials, Fault: s.Fault}.Options()
 	case TypeExperiment:
-		if _, err := core.LookupExperiment(s.Exp); err != nil {
-			return err
+		if len(s.Envs) != 0 {
+			return core.SweepOptions{}, errors.New("experiment jobs take no envs (each experiment's grid is fixed)")
 		}
+		if _, err := core.LookupExperiment(s.Exp); err != nil {
+			return core.SweepOptions{}, err
+		}
+		if s.Trials < 0 {
+			return core.SweepOptions{}, fmt.Errorf("negative trials %d", s.Trials)
+		}
+		if _, err := core.FaultNamed(s.Fault); err != nil {
+			return core.SweepOptions{}, err
+		}
+		sc, err := core.ScaleNamed(s.Scale, s.Seed)
+		return core.SweepOptions{Scale: sc}, err
 	case "":
-		return fmt.Errorf("missing job type (want %s, %s, or %s)",
-			TypeSweep, TypeInterference, TypeExperiment)
+		return core.SweepOptions{}, fmt.Errorf("missing job type (want %s or %s)", TypeSweep, TypeExperiment)
 	default:
-		return fmt.Errorf("unknown job type %q (want %s, %s, or %s)",
-			s.Type, TypeSweep, TypeInterference, TypeExperiment)
+		return core.SweepOptions{}, fmt.Errorf("unknown job type %q (want %s or %s)", s.Type, TypeSweep, TypeExperiment)
 	}
-	return nil
 }
 
 // State is a job's lifecycle position. Transitions are strictly
@@ -135,7 +107,9 @@ type Result struct {
 	// Digest fingerprints a sweep's complete numeric content (SHA-256
 	// over the cells' canonical encodings); empty for experiment jobs.
 	Digest string `json:"digest,omitempty"`
-	// Cells is how many grid cells the job comprised (sweeps).
+	// Cells is how many grid cells the job comprised: a sweep's, or those
+	// of an experiment whose result carries its fan-out's metrics
+	// (interference, isolation).
 	Cells int `json:"cells,omitempty"`
 	// CacheHits/CacheMisses are the job's result-store accounting,
 	// counted from its own cells' lookups, so they stay exact while other

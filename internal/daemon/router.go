@@ -21,8 +21,8 @@ type Backend interface {
 	Events(id string) (*EventLog, bool)
 	Metrics() MetricsInfo
 	// RunCell executes one sweep cell synchronously — the worker-mode
-	// endpoint a distributed coordinator drives. A *LeaseHeldError return
-	// maps to 409.
+	// endpoint a distributed coordinator drives. A spec it rejects maps
+	// to 400, a *LeaseHeldError return to 409.
 	RunCell(ctx context.Context, spec CellSpec) (CellResult, error)
 }
 
@@ -90,13 +90,12 @@ func NewRouter(b Backend) http.Handler {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad cell spec: " + err.Error()})
 			return
 		}
-		if err := spec.Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-			return
-		}
 		res, err := b.RunCell(r.Context(), spec)
 		var held *LeaseHeldError
+		var bad badSpec
 		switch {
+		case errors.As(err, &bad):
+			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		case errors.As(err, &held):
 			// 409: the cell is being computed elsewhere. The body carries
 			// the holder and expiry so coordinators can bound their backoff.

@@ -45,16 +45,6 @@ func (s Surface) String() string {
 	return fmt.Sprintf("surface(%d)", uint8(s))
 }
 
-// SurfaceByName is the inverse of String.
-func SurfaceByName(name string) (Surface, error) {
-	for _, s := range Surfaces {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("density: unknown surface %q", name)
-}
-
 // Boot and teardown costs per surface: containers fork into a warm shared
 // kernel; KVM pays full guest-kernel construction plus device attach;
 // a specialized kernel boots an order of magnitude faster than KVM (tiny

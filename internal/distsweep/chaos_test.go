@@ -84,8 +84,8 @@ func spawnWorkerFleet(t *testing.T, n int, cacheDir string) *Fleet {
 	return f
 }
 
-func chaosSpec() Spec {
-	return Spec{
+func chaosSpec() core.SweepSpec {
+	return core.SweepSpec{
 		Scale:  "quick",
 		Envs:   []string{"native", "kvm-2", "kvm-8", "docker-16"},
 		Trials: 8, // 32 cells: enough runway to kill a worker mid-flight
@@ -150,11 +150,10 @@ func TestChaosSIGKILLWorkerMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	envs, _ := core.ParseEnvSpecs(spec.Envs)
-	sc := daemon.ScaleFor(spec.Scale, spec.Seed)
-	sc.Cache = store
-	sc.Parallel = 1
-	serial, err := core.RunSweep(context.Background(), core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	o, _ := spec.Options()
+	o.Scale.Cache = store
+	o.Scale.Parallel = 1
+	serial, err := core.RunSweep(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestChaosTwoCoordinatorsOneFleet(t *testing.T) {
 	}
 	cacheDir := t.TempDir()
 	fleet := spawnWorkerFleet(t, 4, cacheDir)
-	spec := Spec{Scale: "quick", Envs: []string{"native", "kvm-4"}, Trials: 6}
+	spec := core.SweepSpec{Scale: "quick", Envs: []string{"native", "kvm-4"}, Trials: 6}
 	want := serialSweep(t, spec).Digest()
 
 	type out struct {

@@ -31,32 +31,15 @@ import (
 
 	"ksa/internal/core"
 	"ksa/internal/daemon"
-	"ksa/internal/fault"
 	"ksa/internal/resultcache/codec"
 	"ksa/internal/runner"
 )
 
-// Spec is the distributed sweep's grid description — the wire-friendly
-// mirror of core.SweepOptions (named scale, env strings, fault preset
-// name) so the coordinator and every worker resolve identical inputs.
-type Spec struct {
-	// Scale is "quick" or "default" (the default).
-	Scale string
-	// Seed overrides the scale's root seed when nonzero.
-	Seed uint64
-	// Envs are the environment specs ("native", "kvm-8", …).
-	Envs []string
-	// Trials is the trial count per environment (default 1).
-	Trials int
-	// Fault names the interference preset ("" = clean).
-	Fault string
-	// Priority orders the sweep's cells on each worker's pool.
-	Priority int
-}
-
 // Options configures Run.
 type Options struct {
-	Spec Spec
+	// Spec is the grid. The coordinator and every worker resolve it
+	// through core.SweepSpec.Options, so they enumerate identical cells.
+	Spec core.SweepSpec
 	// Workers are the worker daemons' base URLs; one dispatch slot each.
 	Workers []string
 	// HTTP overrides the transport (default http.DefaultClient).
@@ -98,12 +81,21 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// validate resolves defaults and rejects malformed grids before any
-// worker is contacted: spec errors must abort the sweep, never retire
-// slots one by one.
-func (o *Options) validate() (core.SweepOptions, error) {
+// Run executes the sweep across the worker fleet and returns the merged
+// result. The returned Sweep is bit-identical to a serial run of the same
+// grid for any worker count, any cell→worker assignment, and any pattern
+// of worker death that leaves at least one worker alive.
+//
+// A malformed grid or an empty fleet is an error before any worker is
+// contacted: spec errors must abort the sweep, never retire slots one by
+// one.
+func Run(ctx context.Context, o Options) (Result, error) {
 	if len(o.Workers) == 0 {
-		return core.SweepOptions{}, errors.New("distsweep: no workers")
+		return Result{}, errors.New("distsweep: no workers")
+	}
+	so, err := o.Spec.Options()
+	if err != nil {
+		return Result{}, fmt.Errorf("distsweep: %w", err)
 	}
 	if o.Owner == "" {
 		o.Owner = "distsweep"
@@ -113,41 +105,6 @@ func (o *Options) validate() (core.SweepOptions, error) {
 	}
 	if o.HoldWait <= 0 {
 		o.HoldWait = 250 * time.Millisecond
-	}
-	switch o.Spec.Scale {
-	case "":
-		o.Spec.Scale = "default"
-	case "default", "quick":
-	default:
-		return core.SweepOptions{}, fmt.Errorf("distsweep: unknown scale %q", o.Spec.Scale)
-	}
-	envs, err := core.ParseEnvSpecs(o.Spec.Envs)
-	if err != nil {
-		return core.SweepOptions{}, fmt.Errorf("distsweep: %w", err)
-	}
-	so := core.SweepOptions{
-		Scale:  daemon.ScaleFor(o.Spec.Scale, o.Spec.Seed),
-		Envs:   envs,
-		Trials: o.Spec.Trials,
-	}
-	if o.Spec.Fault != "" {
-		plan, ok := fault.Preset(o.Spec.Fault)
-		if !ok {
-			return core.SweepOptions{}, fmt.Errorf("distsweep: unknown fault preset %q", o.Spec.Fault)
-		}
-		so.Faults = &plan
-	}
-	return so, nil
-}
-
-// Run executes the sweep across the worker fleet and returns the merged
-// result. The returned Sweep is bit-identical to a serial run of the same
-// grid for any worker count, any cell→worker assignment, and any pattern
-// of worker death that leaves at least one worker alive.
-func Run(ctx context.Context, o Options) (Result, error) {
-	so, err := o.validate()
-	if err != nil {
-		return Result{}, err
 	}
 	// The grid's cells supply the canonical enumeration (merge order) and
 	// each cell's expected seed; workers re-derive both from the spec and
@@ -170,7 +127,7 @@ func Run(ctx context.Context, o Options) (Result, error) {
 		res, err := clients[slot].Cell(ctx, daemon.CellSpec{
 			Scale: o.Spec.Scale, Seed: o.Spec.Seed,
 			Env: cell.Env.String(), Trial: cell.Trial,
-			Fault: o.Spec.Fault, Priority: o.Spec.Priority,
+			Fault: o.Spec.Fault,
 			Owner: o.Owner, LeaseMS: o.LeaseTTL.Milliseconds(),
 		})
 		var held *daemon.LeaseHeldError

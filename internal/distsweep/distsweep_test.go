@@ -37,8 +37,8 @@ func newWorker(t *testing.T, cacheDir string) *httptest.Server {
 	return ts
 }
 
-func quickSpec() Spec {
-	return Spec{
+func quickSpec() core.SweepSpec {
+	return core.SweepSpec{
 		Scale:  "quick",
 		Envs:   []string{"native", "kvm-4", "docker-8"},
 		Trials: 3,
@@ -47,15 +47,14 @@ func quickSpec() Spec {
 
 // serialSweep runs the same grid in-process (no cache) and returns its
 // result — the digest oracle every distributed run must match.
-func serialSweep(t *testing.T, spec Spec) core.SweepResult {
+func serialSweep(t *testing.T, spec core.SweepSpec) core.SweepResult {
 	t.Helper()
-	envs, err := core.ParseEnvSpecs(spec.Envs)
+	o, err := spec.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := daemon.ScaleFor(spec.Scale, spec.Seed)
-	sc.Parallel = 1
-	res, err := core.RunSweep(context.Background(), core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	o.Scale.Parallel = 1
+	res, err := core.RunSweep(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +128,13 @@ func TestRunRetriesHeldLease(t *testing.T) {
 
 	// Derive the first cell's key exactly as the worker will and claim it
 	// as a phantom coordinator with a short TTL.
-	envs, _ := core.ParseEnvSpecs(spec.Envs)
-	sc := daemon.ScaleFor(spec.Scale, spec.Seed)
+	o, _ := spec.Options()
 	store, err := resultcache.Open(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Cache = store
-	plan := core.PlanSweep(core.SweepOptions{Scale: sc, Envs: envs, Trials: spec.Trials})
+	o.Scale.Cache = store
+	plan := core.PlanSweep(o)
 	ok, _ := store.TryClaim(plan.CacheKey(plan.Cells[0]), "phantom", 400*time.Millisecond)
 	if !ok {
 		t.Fatal("planting the phantom lease failed")
@@ -200,7 +198,7 @@ func TestRunSeedMismatchAborts(t *testing.T) {
 	}))
 	defer rogue.Close()
 	_, err := Run(context.Background(), Options{
-		Spec:    Spec{Scale: "quick", Envs: []string{"native"}, Trials: 1},
+		Spec:    core.SweepSpec{Scale: "quick", Envs: []string{"native"}, Trials: 1},
 		Workers: []string{rogue.URL},
 	})
 	if err == nil || !strings.Contains(err.Error(), "derived seed") {
@@ -217,16 +215,45 @@ func TestRunValidation(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"no workers", Options{Spec: Spec{Envs: []string{"native"}}}},
-		{"bad scale", Options{Spec: Spec{Scale: "huge", Envs: []string{"native"}}, Workers: []string{"http://x"}}},
-		{"bad env", Options{Spec: Spec{Envs: []string{"mainframe-3"}}, Workers: []string{"http://x"}}},
-		{"dup env", Options{Spec: Spec{Envs: []string{"kvm-8", "kvm-8"}}, Workers: []string{"http://x"}}},
-		{"bad fault", Options{Spec: Spec{Envs: []string{"native"}, Fault: "gremlins"}, Workers: []string{"http://x"}}},
+		{"no workers", Options{Spec: core.SweepSpec{Envs: []string{"native"}}}},
+		{"bad scale", Options{Spec: core.SweepSpec{Scale: "huge", Envs: []string{"native"}}, Workers: []string{"http://x"}}},
+		{"bad env", Options{Spec: core.SweepSpec{Envs: []string{"mainframe-3"}}, Workers: []string{"http://x"}}},
+		{"dup env", Options{Spec: core.SweepSpec{Envs: []string{"kvm-8", "kvm-8"}}, Workers: []string{"http://x"}}},
+		{"bad fault", Options{Spec: core.SweepSpec{Envs: []string{"native"}, Fault: "gremlins"}, Workers: []string{"http://x"}}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(context.Background(), tc.o); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestRunRejectsBadGridBeforeAnyRequest: a grid the shared resolver
+// rejects — an environment that does not fit the machine, or one of
+// MaxSweepCells cells — is Run's error, returned before any worker is
+// contacted, and never a worker failure.
+func TestRunRejectsBadGridBeforeAnyRequest(t *testing.T) {
+	var requests atomic.Int32
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "stub worker", http.StatusInternalServerError)
+	}))
+	defer worker.Close()
+	for _, spec := range []core.SweepSpec{
+		{Scale: "quick", Envs: []string{"kvm-7"}},
+		{Scale: "quick", Envs: []string{"native"}, Trials: core.MaxSweepCells},
+	} {
+		_, want := spec.Options()
+		if want == nil {
+			t.Fatalf("resolver accepted %+v", spec)
+		}
+		_, err := Run(context.Background(), Options{Spec: spec, Workers: []string{worker.URL}})
+		if err == nil || !strings.Contains(err.Error(), want.Error()) || errors.Is(err, runner.ErrSlotFailed) {
+			t.Errorf("%v × %d trials: Run returned %v, want the resolver's %q", spec.Envs, spec.Trials, err, want)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("coordinator sent %d request(s) for grids it should have rejected", n)
 	}
 }
 
@@ -239,7 +266,7 @@ func TestCoordinatorDoesNotSimulate(t *testing.T) {
 	dead.Close()
 	before := sim.TotalExecuted()
 	_, err := Run(context.Background(), Options{
-		Spec:    Spec{Scale: "quick", Envs: []string{"native", "specialized-8"}},
+		Spec:    core.SweepSpec{Scale: "quick", Envs: []string{"native", "specialized-8"}},
 		Workers: []string{dead.URL},
 	})
 	if err == nil {
@@ -256,7 +283,7 @@ func TestRunAllWorkersDeadErrors(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // refused from the first request
 	_, err := Run(context.Background(), Options{
-		Spec:    Spec{Scale: "quick", Envs: []string{"native"}, Trials: 2},
+		Spec:    core.SweepSpec{Scale: "quick", Envs: []string{"native"}, Trials: 2},
 		Workers: []string{dead.URL, dead.URL},
 	})
 	if err == nil || !errors.Is(err, runner.ErrSlotFailed) {

@@ -30,17 +30,6 @@ func (c *Coverage) Has(b uint32) bool {
 	return ok
 }
 
-// CountNew returns how many of other's blocks are not yet in c.
-func (c *Coverage) CountNew(other *Coverage) int {
-	n := 0
-	for b := range other.blocks {
-		if _, ok := c.blocks[b]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // Merge adds all of other's blocks to c and returns how many were new.
 func (c *Coverage) Merge(other *Coverage) int {
 	n := 0

@@ -44,7 +44,7 @@ func (g *Generator) genArg(p *corpus.Program, at int, spec syscalls.ArgSpec) cor
 			}
 		}
 		if len(producers) > 0 {
-			return corpus.Result(rng.Pick(g.src, producers))
+			return corpus.Result(producers[g.src.Intn(len(producers))])
 		}
 	}
 	dom := spec.GenDomain()

@@ -143,9 +143,6 @@ func NewRecorder(numTenants int) *Recorder {
 	}
 }
 
-// NumTenants returns the tenant-space size.
-func (r *Recorder) NumTenants() int { return r.numTenants }
-
 // Scope returns (creating if needed) the named scope. Two kernels
 // resolving the same name — the shared host or node block device — get one
 // scope, which is exactly what makes the device's contention cross-kernel

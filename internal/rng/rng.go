@@ -75,11 +75,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -88,11 +83,6 @@ func (r *Source) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Uniform returns a uniform float64 in [lo, hi).
-func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
 }
 
 // Exp returns an exponentially distributed value with the given mean.
@@ -141,30 +131,6 @@ func (r *Source) BoundedPareto(min, max, alpha float64) float64 {
 		return max
 	}
 	return v
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of the first n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on empty input.
-func Pick[T any](r *Source, xs []T) T {
-	return xs[r.Intn(len(xs))]
 }
 
 // WeightedPick returns an index in [0, len(weights)) chosen with probability

@@ -35,9 +35,6 @@ func NewBarrier(eng *Engine, parties int, latPerHop Time) *Barrier {
 	return &Barrier{eng: eng, parties: parties, latPerHop: latPerHop}
 }
 
-// Parties returns the number of participants.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Epochs returns how many times the barrier has released.
 func (b *Barrier) Epochs() uint64 { return b.epochs }
 

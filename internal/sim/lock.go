@@ -85,16 +85,6 @@ func (l *Lock) Acquire(granted func()) {
 	}
 }
 
-// TryAcquire acquires the lock if free and reports whether it did.
-func (l *Lock) TryAcquire() bool {
-	if l.held {
-		return false
-	}
-	l.held = true
-	l.acquires++
-	return true
-}
-
 // Release hands the lock to the oldest waiter, or frees it. The next grant
 // callback runs synchronously at the current virtual time; a hand-off delay,
 // if the model wants one, belongs in the holder's modeled hold time.
@@ -110,9 +100,4 @@ func (l *Lock) Release() {
 	l.waiters = l.waiters[1:]
 	l.totalWait += l.eng.Now() - next.at
 	next.granted()
-}
-
-// ResetStats zeroes the contention counters (queue state is untouched).
-func (l *Lock) ResetStats() {
-	l.acquires, l.contended, l.maxQueue, l.totalWait = 0, 0, 0, 0
 }

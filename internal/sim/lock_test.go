@@ -62,25 +62,6 @@ func TestLockWaitAccounting(t *testing.T) {
 	if l.MaxQueue() != 1 {
 		t.Fatalf("MaxQueue = %d", l.MaxQueue())
 	}
-	l.ResetStats()
-	if l.Acquires() != 0 || l.TotalWait() != 0 {
-		t.Fatal("ResetStats did not clear counters")
-	}
-}
-
-func TestLockTryAcquire(t *testing.T) {
-	e := NewEngine()
-	l := NewLock(e, "try")
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire on free lock failed")
-	}
-	if l.TryAcquire() {
-		t.Fatal("TryAcquire on held lock succeeded")
-	}
-	l.Release()
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
 }
 
 func TestLockReleaseUnheldPanics(t *testing.T) {

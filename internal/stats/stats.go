@@ -338,19 +338,6 @@ func (s *Sample) Stddev() float64 {
 	return math.Sqrt(ss / float64(len(s.vals)))
 }
 
-// CoV returns the coefficient of variation (stddev/mean), a scale-free
-// variability measure: NaN for an empty sample, 0 when the mean is zero.
-func (s *Sample) CoV() float64 {
-	if s.Len() == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.Stddev() / m
-}
-
 // Reset discards all observations but keeps the allocation.
 func (s *Sample) Reset() {
 	if s.sk != nil {

@@ -73,9 +73,9 @@ func TestQuantilePanics(t *testing.T) {
 
 func TestEmptySampleIsNaN(t *testing.T) {
 	// Empty samples are legitimate (filtered fault-injection ablations can
-	// produce them), so every statistic — including Stddev and CoV, which
-	// return NaN explicitly rather than via propagation through Mean —
-	// returns NaN rather than panicking on both backends.
+	// produce them), so every statistic — including Stddev, which returns
+	// NaN explicitly rather than via propagation through Mean — returns NaN
+	// rather than panicking on both backends.
 	bothBackends(t, func(t *testing.T, newSample func(int) *Sample) {
 		s := newSample(0)
 		for name, fn := range map[string]func() float64{
@@ -86,7 +86,6 @@ func TestEmptySampleIsNaN(t *testing.T) {
 			"Min":      s.Min,
 			"Mean":     s.Mean,
 			"Stddev":   s.Stddev,
-			"CoV":      s.CoV,
 		} {
 			if got := fn(); !math.IsNaN(got) {
 				t.Errorf("empty %s = %v, want NaN", name, got)
@@ -98,8 +97,8 @@ func TestEmptySampleIsNaN(t *testing.T) {
 		if !math.IsNaN(s.Max()) {
 			t.Errorf("Max after Reset = %v, want NaN", s.Max())
 		}
-		if !math.IsNaN(s.Stddev()) || !math.IsNaN(s.CoV()) {
-			t.Errorf("Stddev/CoV after Reset = %v/%v, want NaN", s.Stddev(), s.CoV())
+		if !math.IsNaN(s.Stddev()) {
+			t.Errorf("Stddev after Reset = %v, want NaN", s.Stddev())
 		}
 	})
 }
@@ -115,19 +114,6 @@ func TestMinMaxMeanStddev(t *testing.T) {
 	if s.Stddev() != 2 {
 		t.Errorf("stddev = %v, want 2", s.Stddev())
 	}
-	if math.Abs(s.CoV()-0.4) > 1e-12 {
-		t.Errorf("CoV = %v, want 0.4", s.CoV())
-	}
-}
-
-func TestCoVZeroMean(t *testing.T) {
-	bothBackends(t, func(t *testing.T, newSample func(int) *Sample) {
-		s := newSample(3)
-		s.AddAll([]float64{0, 0, 0})
-		if got := s.CoV(); got != 0 {
-			t.Errorf("CoV of zeros = %v", got)
-		}
-	})
 }
 
 func TestSampleReset(t *testing.T) {
@@ -289,29 +275,6 @@ func TestViolinNoDensityForTinySample(t *testing.T) {
 	v = ViolinOf(sampleOf(5, 5, 5), 16)
 	if len(v.Density) != 0 {
 		t.Error("zero-range sample should have no density profile")
-	}
-}
-
-func TestViolinTailMass(t *testing.T) {
-	s := NewSample(0)
-	// Bimodal: most mass near 1, some near 1000.
-	for i := 0; i < 90; i++ {
-		s.Add(1 + float64(i%10)*0.01)
-	}
-	for i := 0; i < 10; i++ {
-		s.Add(1000 + float64(i))
-	}
-	v := ViolinOf(s, 32)
-	low := v.TailMass(500)
-	if low <= 0 || low >= 0.5 {
-		t.Errorf("tail mass above 500 = %v, want small positive", low)
-	}
-	if v.TailMass(0.001) < 0.99 {
-		t.Errorf("tail mass above ~0 should be ~1, got %v", v.TailMass(0.001))
-	}
-	var empty Violin
-	if empty.TailMass(1) != 0 {
-		t.Error("empty violin tail mass should be 0")
 	}
 }
 

@@ -93,23 +93,3 @@ func ViolinOf(s *Sample, points int) Violin {
 	}
 	return v
 }
-
-// TailMass returns the fraction of the density profile's mass that lies at
-// or above the given latency — a compact "how fat is the upper half of the
-// violin" metric used when comparing configurations.
-func (v Violin) TailMass(at float64) float64 {
-	if len(v.Density) == 0 {
-		return 0
-	}
-	var above, total float64
-	for i, x := range v.DensityAt {
-		total += v.Density[i]
-		if x >= at {
-			above += v.Density[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return above / total
-}

@@ -2,7 +2,6 @@ package syscalls
 
 import (
 	"fmt"
-	"sort"
 
 	"ksa/internal/kernel"
 )
@@ -171,24 +170,3 @@ func (t *Table) Lookup(name string) *Spec { return t.byName[name] }
 
 // All returns the specs in id order. The slice is shared; do not modify.
 func (t *Table) All() []*Spec { return t.specs }
-
-// InCategory returns the specs whose mask includes cat, in id order.
-func (t *Table) InCategory(cat Category) []*Spec {
-	var out []*Spec
-	for _, s := range t.specs {
-		if s.Cats.Has(cat) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Names returns all syscall names, sorted.
-func (t *Table) Names() []string {
-	names := make([]string, 0, len(t.specs))
-	for _, s := range t.specs {
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
-	return names
-}

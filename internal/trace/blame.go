@@ -145,16 +145,6 @@ func (tb *taskBlame) record(wall sim.Time) BlameRecord {
 	return rec
 }
 
-// PartTime returns the time attributed to cause, or zero.
-func (r *BlameRecord) PartTime(cause string) sim.Time {
-	for _, p := range r.Parts {
-		if p.Cause == cause {
-			return p.Time
-		}
-	}
-	return 0
-}
-
 // String renders the record compactly, e.g.
 // "p3/c7 fsync core12 wall=2.31ms <- lock:journal 1.98ms (86%)".
 func (r *BlameRecord) String() string {

@@ -10,6 +10,16 @@ import (
 
 func us(n int) sim.Time { return sim.Time(n) * sim.Microsecond }
 
+// partTime returns the time r attributes to cause, or zero.
+func partTime(r BlameRecord, cause string) sim.Time {
+	for _, p := range r.Parts {
+		if p.Cause == cause {
+			return p.Time
+		}
+	}
+	return 0
+}
+
 func TestBlameRecordDecomposition(t *testing.T) {
 	tr := New(Options{Threshold: us(100)})
 	tr.BeginTask(3, 1, "p0/c1 fsync", 0, us(5))
@@ -31,17 +41,17 @@ func TestBlameRecordDecomposition(t *testing.T) {
 	if r.Cause != LockCause("journal") || r.CauseTime != us(80) {
 		t.Fatalf("dominant = %s %v, want lock:journal 80µs", r.Cause, r.CauseTime)
 	}
-	if got := r.PartTime(CauseCompute); got != us(10) {
+	if got := partTime(r, CauseCompute); got != us(10) {
 		t.Fatalf("compute part = %v", got)
 	}
-	if got := r.PartTime(CauseIPI); got != us(10) {
+	if got := partTime(r, CauseIPI); got != us(10) {
 		t.Fatalf("ipi part = %v (busWait+cost)", got)
 	}
-	if got := r.PartTime(StealCause(kernel.StealHousekeeping)); got != us(15) {
+	if got := partTime(r, StealCause(kernel.StealHousekeeping)); got != us(15) {
 		t.Fatalf("steal part = %v", got)
 	}
 	// 5 queue + 10 compute + 80 lock + 10 ipi + 15 steal = 120; residual 10.
-	if got := r.PartTime(CauseOther); got != us(10) {
+	if got := partTime(r, CauseOther); got != us(10) {
 		t.Fatalf("other part = %v", got)
 	}
 	var sum sim.Time

@@ -10,7 +10,7 @@ import (
 
 func TestWithDefaultsZeroSelectsDefault(t *testing.T) {
 	o := Options{}.withDefaults()
-	want := DefaultOptions()
+	want := Options{Iterations: 30, BarrierHop: 2 * sim.Microsecond, ReleaseSkewMean: 8 * sim.Microsecond}
 	if o.Iterations != want.Iterations {
 		t.Errorf("Iterations = %d, want %d", o.Iterations, want.Iterations)
 	}

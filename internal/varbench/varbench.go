@@ -80,13 +80,6 @@ type Options struct {
 	Contention bool
 }
 
-// DefaultOptions returns the scaled-down defaults used throughout the
-// repository: 30 recorded iterations after 2 warmups.
-func DefaultOptions() Options {
-	return Options{Iterations: 30, Warmup: 2, BarrierHop: 2 * sim.Microsecond,
-		ReleaseSkewMean: 8 * sim.Microsecond}
-}
-
 func (o Options) withDefaults() Options {
 	// Zero selects the default; negative (ExplicitZero) selects a literal
 	// zero. This keeps the zero-value Options useful without making "I
@@ -215,18 +208,6 @@ func (r *Result) BlameRecords() []trace.BlameRecord {
 		}
 		return out[i].Label < out[j].Label
 	})
-	return out
-}
-
-// SiteBlame returns the blame records attributed to one call site, worst
-// first.
-func (r *Result) SiteBlame(s Site) []trace.BlameRecord {
-	var out []trace.BlameRecord
-	for _, rec := range r.BlameRecords() {
-		if got, ok := r.labelSite[rec.Label]; ok && got == s {
-			out = append(out, rec)
-		}
-	}
 	return out
 }
 

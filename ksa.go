@@ -87,6 +87,8 @@ type (
 	EnvSpec = core.EnvSpec
 	// SweepOptions configures RunSweep's environment × trial grid.
 	SweepOptions = core.SweepOptions
+	// SweepSpec is a sweep grid in wire form; Options resolves it.
+	SweepSpec = core.SweepSpec
 	// SweepResult holds a sweep's runs in job-key order plus fan-out
 	// metrics.
 	SweepResult = core.SweepResult
@@ -253,6 +255,13 @@ var (
 	FaultPresets = fault.Presets
 	// FaultPreset returns a built-in plan by name.
 	FaultPreset = fault.Preset
+	// Request resolvers, shared by every CLI flag and HTTP boundary: a
+	// scale preset, fault preset or environment kind by name, and the
+	// sweep size bound.
+	ScaleNamed     = core.ScaleNamed
+	FaultNamed     = core.FaultNamed
+	ParseEnvKind   = platform.ParseKind
+	CheckSweepSize = core.CheckSweepSize
 )
 
 // Daemon layer (cmd/ksad): the long-running experiment service and its
@@ -280,28 +289,18 @@ func NewDaemon(cfg DaemonConfig) *Daemon { return daemon.New(cfg) }
 // NewDaemonRouter binds the versioned ksad HTTP API to a daemon.
 func NewDaemonRouter(d *Daemon) http.Handler { return daemon.NewRouter(d) }
 
-// ParseEnvSpec parses "native", "kvm-8", "docker-64", "lightvm-16" — the
-// inverse of EnvSpec.String, as accepted by sweep jobs on the wire.
-func ParseEnvSpec(s string) (EnvSpec, error) { return core.ParseEnvSpec(s) }
-
 // Distributed sweep layer (internal/distsweep): shard one sweep grid
 // across worker processes — locally spawned ksad daemons or remote URLs —
 // and merge cells in job-key order to the exact digest of a serial run.
 // Workers coordinate through the shared result cache's advisory leases;
 // a killed worker's cells are stolen after its lease TTL.
 type (
-	// DistSweepSpec is the distributed sweep's wire-friendly grid form.
-	DistSweepSpec = distsweep.Spec
 	// DistSweepOptions configures RunDistSweep (fleet, owner, lease TTL).
 	DistSweepOptions = distsweep.Options
 	// DistSweepResult is the merged sweep plus dispatch accounting.
 	DistSweepResult = distsweep.Result
 	// WorkerFleet is a set of locally spawned worker processes.
 	WorkerFleet = distsweep.Fleet
-	// CellSpec is the wire form of one worker-mode cell request.
-	CellSpec = daemon.CellSpec
-	// CellResult is the wire form of one completed cell.
-	CellResult = daemon.CellResult
 )
 
 // RunDistSweep executes a sweep across the worker fleet; the merged
