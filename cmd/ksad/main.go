@@ -5,7 +5,7 @@
 //
 //	ksad [-listen addr] [-workers N] [-cache dir] [-quiet]
 //
-// Jobs (sweeps, interference ablations, named paper experiments) are
+// Jobs (sweeps, and the experiment table's entries by name) are
 // submitted as JSON to POST /v1/jobs, multiplexed onto one shared worker
 // pool with per-job priorities, cancelled with DELETE /v1/jobs/{id}, and
 // observed live over the SSE stream at GET /v1/jobs/{id}/events (replay

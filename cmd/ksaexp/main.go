@@ -6,7 +6,8 @@
 //	       [-seed N] [-parallel N] [-cache dir|off] [-cache-verify]
 //	       [-trace] [-fault name|list] [-remote url]
 //	ksaexp -exp sweep [-envs list] [-trials N] [-workers N] [-worker-urls list]
-//	       [-worker-bin path] [-scale ...] [-seed N] [-cache dir] [-fault name]
+//	       [-worker-bin path] [-serial [-cache-verify]] [-scale ...] [-seed N]
+//	       [-cache dir] [-fault name]
 //	ksaexp -exp density [-tenants list] [-requests N] [-exact-stats] [-scale ...]
 //	ksaexp -exp specialize [-strict-profile] [-scale ...] [-cache dir]
 //	ksaexp -exp isolation [-scale ...] [-csv dir]
@@ -41,7 +42,8 @@
 // (-workers N, sharing -cache) and/or already-running ones (-worker-urls)
 // — and merged to the exact digest a serial run produces. A worker killed
 // mid-sweep is failed over via the cache's lease protocol; see
-// internal/distsweep.
+// internal/distsweep. A sweep refuses -exact-stats (its cells always keep
+// the quantile sketch), and takes -cache-verify only with -serial.
 package main
 
 import (
@@ -151,6 +153,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep does not take -remote (point -worker-urls at the daemons instead)")
 			os.Exit(2)
 		}
+		// A sweep resolves its scale from the spec, whose cells always keep
+		// the quantile sketch, and only the serial oracle reads the cache
+		// in-process.
+		if *exactStats {
+			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep does not take -exact-stats (its cells always use the quantile sketch)")
+			os.Exit(2)
+		}
+		if *cacheVerify && !*serial {
+			fmt.Fprintln(os.Stderr, "ksaexp: -cache-verify with -exp sweep needs -serial (the workers own the distributed run's cache reads)")
+			os.Exit(2)
+		}
 		spec := ksa.SweepSpec{Scale: *scaleName, Seed: *seed, Envs: strings.Split(*envs, ","), Trials: *trials}
 		if flagWasSet("fault") {
 			spec.Fault = *faultName // sweeps default to clean runs
@@ -161,6 +174,7 @@ func main() {
 			os.Exit(2)
 		}
 		if *serial {
+			o.Scale.CacheVerify = *cacheVerify
 			runSerialSweep(o, cache)
 			return
 		}

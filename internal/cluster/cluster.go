@@ -19,12 +19,10 @@ import (
 
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
-	"ksa/internal/kernel"
 	"ksa/internal/platform"
 	"ksa/internal/rng"
 	"ksa/internal/runner"
 	"ksa/internal/sim"
-	"ksa/internal/syscalls"
 	"ksa/internal/tailbench"
 )
 
@@ -153,20 +151,15 @@ func (r *Result) StragglerFactor() float64 {
 // BSP barrier, which the orchestrator computes analytically, so node
 // simulations advance on separate OS threads between barriers.
 type node struct {
-	eng   *sim.Engine
-	env   *platform.Environment
-	cores []platform.CoreRef
-	procs []*syscalls.Proc
-	src   *rng.Source
+	eng *sim.Engine
+	// start issues the iteration's first requests, one per worker up to
+	// the concurrency; built once.
+	start func()
 
-	issued int
-	done   int
-	target int
+	issued, done, target int
+	finished             bool
+	end                  sim.Time // when the iteration's last response arrived
 }
-
-// debugHook, when set by tests, receives node 0's environment at the end
-// of a Run.
-var debugHook func(*platform.Environment)
 
 // submitOrder, when set by tests, permutes the order nodes are handed to
 // the worker pool each iteration; results must be invariant under it.
@@ -215,7 +208,7 @@ func Run(cfg Config) Result {
 	defer pool.Close()
 	nodes := make([]*node, cfg.Nodes)
 	_, _ = pool.Do(context.Background(), 0, cfg.Nodes, func(i int) {
-		nodes[i] = newNode(cfg, i, srcs[i], per)
+		nodes[i] = newNode(cfg, i, srcs[i], per, conc)
 	})
 
 	res := Result{App: cfg.App.Name, Env: cfg.Kind.String(), Contended: cfg.Contended}
@@ -235,7 +228,7 @@ func Run(cfg Config) Result {
 		start := release
 		_, _ = pool.Do(context.Background(), 0, cfg.Nodes, func(j int) {
 			i := order[j]
-			ends[i] = nodes[i].runIterationAt(cfg.App, conc, start)
+			ends[i] = nodes[i].runIterationAt(start)
 		})
 		last := start
 		for _, e := range ends {
@@ -248,9 +241,6 @@ func Run(cfg Config) Result {
 		release = last + releaseLat
 		res.IterTimes = append(res.IterTimes, release-start)
 	}
-	if debugHook != nil {
-		debugHook(nodes[0].env)
-	}
 	res.Runtime = release
 	if nodeTimeCount > 0 {
 		res.MeanNodeTime = nodeTimeSum / sim.Time(nodeTimeCount)
@@ -258,30 +248,41 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// newNode builds one node's private world: engine, environment, worker
-// procs, and (when contended) the co-tenant noise stream.
-func newNode(cfg Config, i int, src *rng.Source, per int) *node {
+// newNode builds one node's private world: engine, environment, one
+// tailbench worker per application core, and (when contended) the
+// co-tenant noise stream.
+func newNode(cfg Config, i int, src *rng.Source, per, conc int) *node {
 	eng := sim.NewEngine()
 	env := platform.New(eng, cfg.Kind, cfg.NodeMachine, cfg.Partitions, src, nil)
-	n := &node{eng: eng, env: env, src: src.Split(7), target: cfg.RequestsPerIter}
-	for c := 0; c < per; c++ {
-		ref := env.Core(c)
-		proc := syscalls.NewProc(eng)
-		proc.Salt = uint64(i*64+c+1) * 0x9e3779b97f4a7c15
-		proc.VMAs = 8
-		n.cores = append(n.cores, ref)
-		n.procs = append(n.procs, proc)
+	n := &node{eng: eng, target: cfg.RequestsPerIter}
+	app, reqs := cfg.App, src.Split(7)
+	workers := make([]*tailbench.Worker, per)
+	for c := range workers {
+		var w *tailbench.Worker
+		w = tailbench.NewWorker(eng, env.Core(c), uint64(i*64+c+1)*0x9e3779b97f4a7c15, func(sim.Time) {
+			n.done++
+			if n.issued < n.target {
+				n.issued++
+				w.Serve(app, reqs)
+			} else if n.done == n.target {
+				n.finished, n.end = true, eng.Now()
+			}
+		})
+		workers[c] = w
+	}
+	first := workers[:min(conc, cfg.RequestsPerIter)]
+	n.start = func() {
+		for _, w := range first {
+			n.issued++
+			w.Serve(app, reqs)
+		}
 	}
 	if cfg.Contended {
 		noiseCores := make([]platform.CoreRef, 0, cfg.NodeMachine.Cores-per)
 		for c := per; c < cfg.NodeMachine.Cores; c++ {
 			noiseCores = append(noiseCores, env.Core(c))
 		}
-		skew := src.Split(8)
-		tailbench.StartNoise(env, noiseCores, cfg.NoiseCorpus, sim.Forever,
-			cfg.NoiseIterGap, func() sim.Time {
-				return sim.Time(skew.Exp(float64(6 * sim.Microsecond)))
-			})
+		tailbench.StartNoise(env, noiseCores, cfg.NoiseCorpus, sim.Forever, cfg.NoiseIterGap, src.Split(8))
 	}
 	if cfg.Faults != nil {
 		// Nodes advance by Step until each iteration completes (the engine
@@ -293,55 +294,18 @@ func newNode(cfg Config, i int, src *rng.Source, per int) *node {
 
 // runIterationAt schedules the node's BSP iteration at the barrier release
 // time `start` and advances the node's private engine until the last
-// response arrives, returning the node's arrival-at-barrier time. Noise
-// events between the previous completion and `start` are interleaved
-// naturally: they sit in the same heap and run in timestamp order.
-func (n *node) runIterationAt(app *tailbench.App, conc int, start sim.Time) sim.Time {
-	n.issued, n.done = 0, 0
-	finished := false
-	var end sim.Time
-	n.eng.At(start, func() {
-		n.runIteration(app, conc, func() {
-			finished = true
-			end = n.eng.Now()
-		})
-	})
-	for !finished {
+// response arrives, returning the node's arrival-at-barrier time. The
+// iteration issues the node's fixed request quota closed-loop, conc
+// outstanding at a time. Noise events between the previous completion and
+// `start` are interleaved naturally: they sit in the same heap and run in
+// timestamp order.
+func (n *node) runIterationAt(start sim.Time) sim.Time {
+	n.issued, n.done, n.finished = 0, 0, false
+	n.eng.At(start, n.start)
+	for !n.finished {
 		if !n.eng.Step() {
 			panic("cluster: node engine drained before the iteration completed")
 		}
 	}
-	return end
-}
-
-// runIteration issues the node's fixed request quota closed-loop (conc
-// outstanding at a time) and calls complete when the last response arrives.
-func (n *node) runIteration(app *tailbench.App, conc int, complete func()) {
-	var issue func(w int)
-	issue = func(w int) {
-		n.issued++
-		ref := n.cores[w]
-		ctx := &syscalls.Ctx{Kern: ref.Kernel, Core: ref.Core, Proc: n.procs[w], Cov: syscalls.NopCoverage{}}
-		ops := app.CompileRequest(ctx, n.src)
-		ref.Kernel.Submit(ref.Core, &kernel.Task{
-			Ops:       ops,
-			AddrSpace: n.procs[w].MM,
-			OnDone: func(sim.Time) {
-				n.done++
-				if n.issued < n.target {
-					issue(w)
-					return
-				}
-				if n.done == n.target {
-					complete()
-				}
-			},
-		})
-	}
-	if conc > n.target {
-		conc = n.target
-	}
-	for w := 0; w < conc; w++ {
-		issue(w)
-	}
+	return n.end
 }

@@ -139,3 +139,23 @@ func TestDefaultsFilled(t *testing.T) {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }
+
+// Each node serves through one tailbench worker per core and builds its
+// iteration step once, so a cluster run's allocations barely grow with
+// its request count for the apps whose mixes take no IPI and no block
+// I/O.
+func TestRequestAllocsFlat(t *testing.T) {
+	for _, app := range []string{"masstree", "silo"} {
+		for _, kind := range []platform.EnvKind{platform.KindVMs, platform.KindContainers} {
+			allocs := func(reqs int) float64 {
+				cfg := Config{App: tailbench.AppByName(app), Kind: kind, Nodes: 4, Iterations: 2,
+					RequestsPerIter: reqs, Seed: 11, Workers: 1}
+				return testing.AllocsPerRun(2, func() { Run(cfg) })
+			}
+			lo, hi := allocs(40), allocs(400)
+			if per := (hi - lo) / (4 * 2 * (400 - 40)); per >= 0.5 {
+				t.Errorf("%s/%v: %.2f allocations per extra request, want < 0.5", app, kind, per)
+			}
+		}
+	}
+}

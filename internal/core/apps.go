@@ -27,27 +27,66 @@ func (sc Scale) noiseCorpus() *corpus.Corpus {
 // ---------------------------------------------------------------------------
 // Figure 3
 
+// Figure3Row holds one application's Figure 3 numbers: isolated and
+// contended p99 for both substrates, and the relative increases (Figure
+// 3(c)).
+type Figure3Row struct {
+	App                         string
+	KVMIso, KVMCont             float64 // p99 µs
+	DockerIso, DockerCont       float64
+	KVMIncrease, DockerIncrease float64 // percent
+}
+
 // Figure3Result holds per-application single-node tail-latency rows.
 type Figure3Result struct {
-	Rows []tailbench.Fig3Row
+	Rows []Figure3Row
 }
 
 // RunFigure3 reproduces Figure 3: single-node 99th-percentile request
 // latency for every tailbench application, isolated and with a co-running
 // 48-core syscall corpus, on KVM and Docker.
 func RunFigure3(ctx context.Context, sc Scale) (Figure3Result, error) {
+	apps := tailbench.Apps()
+	p99s, err := sc.singleNodeGrid(ctx, apps, platform.KindVMs, platform.KindContainers)
+	if err != nil {
+		return Figure3Result{}, err
+	}
+	var out Figure3Result
+	for ai, app := range apps {
+		p := p99s[ai*4:]
+		out.Rows = append(out.Rows, Figure3Row{App: app.Name,
+			KVMIso: p[0], KVMCont: p[1], DockerIso: p[2], DockerCont: p[3],
+			KVMIncrease: increase(p[0], p[1]), DockerIncrease: increase(p[2], p[3]),
+		})
+	}
+	return out, nil
+}
+
+// singleNodeGrid runs the single-node scenario (Figure 3, the lightvm
+// extension) for every app × kind × {isolated, contended}, one pool cell
+// each, and returns the p99s in that order (app-major, isolated first).
+func (sc Scale) singleNodeGrid(ctx context.Context, apps []*tailbench.App, kinds ...platform.EnvKind) ([]float64, error) {
 	noise := sc.noiseCorpus()
 	srv := tailbench.ServerOptions{
 		Util: 0.75, Warmup: sc.ServerWarmup, Measure: sc.ServerMeasure, Seed: sc.Seed,
 	}
-	apps := tailbench.Apps()
-	rows, _, err := mapCells(ctx, sc, len(apps), func(i int) tailbench.Fig3Row {
-		return tailbench.RunFig3App(apps[i], noise, srv, sc.Seed)
+	per := 2 * len(kinds)
+	p99s, _, err := mapCells(ctx, sc, len(apps)*per, func(i int) float64 {
+		return tailbench.RunSingleNode(tailbench.SingleNodeConfig{
+			Kind: kinds[i%per/2], App: apps[i/per], Contended: i%2 == 1,
+			NoiseCorpus: noise, Server: srv, Seed: sc.Seed,
+		}).P99
 	})
-	if err != nil {
-		return Figure3Result{}, err
+	return p99s, err
+}
+
+// increase is the percent change from an isolated to a contended reading
+// (Figures 3(c) and 4(c)); zero when the isolated reading is not positive.
+func increase(iso, cont float64) float64 {
+	if iso <= 0 {
+		return 0
 	}
-	return Figure3Result{Rows: rows}, nil
+	return 100 * (cont - iso) / iso
 }
 
 // Render formats the three Figure 3 panels.
@@ -138,18 +177,11 @@ func RunFigure4(ctx context.Context, sc Scale) (Figure4Result, error) {
 	}
 	var out Figure4Result
 	for ai, name := range apps {
-		base := ai * 4 // cells are app-major: kvm-iso, kvm-cont, docker-iso, docker-cont
-		row := Figure4Row{App: name,
-			KVMIso: runtimes[base], KVMCont: runtimes[base+1],
-			DockerIso: runtimes[base+2], DockerCont: runtimes[base+3],
-		}
-		if row.KVMIso > 0 {
-			row.KVMLoss = 100 * (row.KVMCont - row.KVMIso) / row.KVMIso
-		}
-		if row.DockerIso > 0 {
-			row.DockerLoss = 100 * (row.DockerCont - row.DockerIso) / row.DockerIso
-		}
-		out.Rows = append(out.Rows, row)
+		r := runtimes[ai*4:] // app-major: kvm-iso, kvm-cont, docker-iso, docker-cont
+		out.Rows = append(out.Rows, Figure4Row{App: name,
+			KVMIso: r[0], KVMCont: r[1], DockerIso: r[2], DockerCont: r[3],
+			KVMLoss: increase(r[0], r[1]), DockerLoss: increase(r[2], r[3]),
+		})
 	}
 	return out, nil
 }

@@ -34,42 +34,21 @@ type LightVMResult struct {
 // shedding most of the virtualization tax (isolated gap to Docker)? Runs
 // the Figure 3 scenario with a third substrate.
 func RunLightVMExtension(ctx context.Context, sc Scale) (LightVMResult, error) {
-	noise := sc.noiseCorpus()
-	srv := tailbench.ServerOptions{
-		Util: 0.75, Warmup: sc.ServerWarmup, Measure: sc.ServerMeasure, Seed: sc.Seed,
+	var apps []*tailbench.App
+	for _, name := range []string{"xapian", "masstree", "moses", "silo", "shore"} {
+		apps = append(apps, tailbench.AppByName(name))
 	}
-	apps := []string{"xapian", "masstree", "moses", "silo", "shore"}
-	// 5 apps × 3 substrates × {iso, cont} = 30 independent single-node
-	// simulations, fanned out and merged in grid order.
-	kinds := []platform.EnvKind{platform.KindContainers, platform.KindVMs, platform.KindLightVMs}
-	p99s, _, err := mapCells(ctx, sc, len(apps)*len(kinds)*2, func(i int) float64 {
-		app, rest := apps[i/(len(kinds)*2)], i%(len(kinds)*2)
-		return tailbench.RunSingleNode(tailbench.SingleNodeConfig{
-			Kind: kinds[rest/2], App: tailbench.AppByName(app), Contended: rest%2 == 1,
-			NoiseCorpus: noise, Server: srv, Seed: sc.Seed,
-		}).P99
-	})
+	p99s, err := sc.singleNodeGrid(ctx, apps, platform.KindContainers, platform.KindVMs, platform.KindLightVMs)
 	if err != nil {
 		return LightVMResult{}, err
 	}
 	var out LightVMResult
-	for ai, name := range apps {
-		base := ai * len(kinds) * 2
-		row := LightVMRow{App: name,
-			DockerIso: p99s[base], DockerCont: p99s[base+1],
-			KVMIso: p99s[base+2], KVMCont: p99s[base+3],
-			LightIso: p99s[base+4], LightCont: p99s[base+5],
-		}
-		pct := func(iso, cont float64) float64 {
-			if iso <= 0 {
-				return 0
-			}
-			return 100 * (cont - iso) / iso
-		}
-		row.DockerIncrease = pct(row.DockerIso, row.DockerCont)
-		row.KVMIncrease = pct(row.KVMIso, row.KVMCont)
-		row.LightIncrease = pct(row.LightIso, row.LightCont)
-		out.Rows = append(out.Rows, row)
+	for ai, app := range apps {
+		p := p99s[ai*6:]
+		out.Rows = append(out.Rows, LightVMRow{App: app.Name,
+			DockerIso: p[0], DockerCont: p[1], KVMIso: p[2], KVMCont: p[3], LightIso: p[4], LightCont: p[5],
+			DockerIncrease: increase(p[0], p[1]), KVMIncrease: increase(p[2], p[3]), LightIncrease: increase(p[4], p[5]),
+		})
 	}
 	return out, nil
 }

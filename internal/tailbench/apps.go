@@ -100,7 +100,7 @@ func resolve(mix []MixEntry) *resolvedMix {
 // Apps returns the paper's Table 4 workloads, in paper order, each with
 // its request mix resolved against the syscall table. The resolution is
 // taken once, here: changing an App's Mix afterwards does not change the
-// requests CompileRequest builds.
+// requests compiled from it.
 func Apps() []*App {
 	apps := []*App{
 		{
@@ -216,14 +216,28 @@ func (a *App) EstServiceTime() sim.Time {
 	return est
 }
 
-// CompileRequest builds one request's micro-op sequence: the user-space
-// service time sliced around the request's kernel entries. The returned ops
-// run as a single kernel task on one worker core. (User-space compute is
-// modeled as kernel ops with zero lock footprint — it consumes the core and
-// is subject to the same steal, which is physically right.) Each request
-// gets its own op list, sized from the app's shape, so it allocates little
-// more than that list.
+// CompileRequest builds one request's micro-op sequence into a list of
+// its own: the compile Worker.Serve runs, for callers that time or inspect
+// one request alone. It allocates the list and its argument scratch.
 func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
+	var req request
+	a.compile(ctx, &req, src)
+	return req.ops.Ops()
+}
+
+// request is one request's op list and the argument scratch its calls
+// compile from. Both escape into the syscall compilers.
+type request struct {
+	ops  kernel.OpList
+	args [maxArgs]uint64
+}
+
+// compile appends one request to req.ops: the user-space service time
+// sliced around the request's kernel entries. The ops run as a single
+// kernel task on one worker core. (User-space compute is modeled as kernel
+// ops with zero lock footprint — it consumes the core and is subject to
+// the same steal, which is physically right.)
+func (a *App) compile(ctx *syscalls.Ctx, req *request, src *rng.Source) {
 	mix := a.mix
 	if mix == nil { // an App not built by Apps
 		mix = resolve(a.Mix)
@@ -233,13 +247,7 @@ func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
 	per := service / sim.Time(slices)
 
 	ios := int(a.IOPerReq)
-	// The list and the argument scratch escape into the syscall compilers,
-	// so they share one allocation; the list's storage is the other.
-	var req struct {
-		l    kernel.OpList
-		args [maxArgs]uint64
-	}
-	l := &req.l
+	l := &req.ops
 	l.Grow(slices + a.SyscallsPerReq*opsPerCall + ios + 1)
 	for i := 0; i < a.SyscallsPerReq; i++ {
 		// User-space slice; spread the app's exit load across slices.
@@ -264,7 +272,6 @@ func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
 	for i := 0; i < ios; i++ {
 		l.BlockIO(0)
 	}
-	return l.Ops()
 }
 
 // opsPerCall sizes a request's op list: the micro-ops one mix syscall

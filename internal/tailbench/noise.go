@@ -3,33 +3,29 @@ package tailbench
 import (
 	"ksa/internal/corpus"
 	"ksa/internal/platform"
+	"ksa/internal/rng"
 	"ksa/internal/sim"
 )
 
-// Noise drives the varbench system-call corpus as a co-running tenant
+// StartNoise drives the varbench system-call corpus as a co-running tenant
 // (§6.2: three of the four partitions run a 48-core synthetic system-call
 // workload while the fourth serves the tailbench application). The noise
 // cores iterate the corpus with barrier synchronization among themselves,
-// exactly like a standalone varbench deployment.
-type Noise struct {
-	stopped bool
-	calls   uint64
-}
-
-// StartNoise begins corpus iteration on the given cores until deadline (or
-// Stop). gap is the per-iteration pause after the barrier releases — the
+// exactly like a standalone varbench deployment, until deadline. gap is
+// the per-iteration pause after the barrier releases — the
 // result-collection and MPI overhead a real varbench deployment pays
-// between programs; it bounds the noise tenant's duty cycle. It returns a
-// handle for introspection.
-func StartNoise(env *platform.Environment, cores []platform.CoreRef, c *corpus.Corpus, deadline sim.Time, gap sim.Time, skew func() sim.Time) *Noise {
-	n := &Noise{}
+// between programs; it bounds the noise tenant's duty cycle. skew, when
+// non-nil, draws each party's barrier release skew (exponential, mean
+// 6µs); nil releases every party at once.
+func StartNoise(env *platform.Environment, cores []platform.CoreRef, c *corpus.Corpus, deadline sim.Time, gap sim.Time, skew *rng.Source) {
 	if len(cores) == 0 || len(c.Programs) == 0 {
-		n.stopped = true
-		return n
+		return
 	}
 	eng := env.Eng
 	barrier := sim.NewBarrier(eng, len(cores), 2*sim.Microsecond)
-	barrier.Jitter = skew
+	if skew != nil {
+		barrier.Jitter = func() sim.Time { return sim.Time(skew.Exp(float64(6 * sim.Microsecond))) }
+	}
 
 	// Compile each program once and keep one runner per noise core; each
 	// round resets the process context, reproducing the fresh-runner
@@ -38,41 +34,33 @@ func StartNoise(env *platform.Environment, cores []platform.CoreRef, c *corpus.C
 	for i, p := range c.Programs {
 		compiled[i] = corpus.Compile(p, nil)
 	}
-	runners := make([]*corpus.Runner, len(cores))
-	for i, ref := range cores {
-		runners[i] = corpus.NewRunner(eng, ref.Kernel, ref.Core, nil)
-		runners[i].PolluteCaches = true
-	}
-
-	var iterate func(coreIdx, prog int)
-	iterate = func(coreIdx, prog int) {
-		if n.stopped || eng.Now() >= deadline {
-			return
+	for _, ref := range cores {
+		r := corpus.NewRunner(eng, ref.Kernel, ref.Core, nil)
+		r.PolluteCaches = true
+		// A round is three steps, built once per core: arrive at the
+		// barrier, pause gap after its release, run the next program (whose
+		// end arrives again).
+		prog := 0
+		var arrive, pause, run func()
+		arrive = func() {
+			if eng.Now() < deadline {
+				barrier.Arrive(pause)
+			}
 		}
-		barrier.Arrive(func() {
-			if n.stopped || eng.Now() >= deadline {
+		pause = func() {
+			if eng.Now() < deadline {
+				eng.After(gap, run)
+			}
+		}
+		run = func() {
+			if eng.Now() >= deadline {
 				return
 			}
-			eng.After(gap, func() {
-				if n.stopped || eng.Now() >= deadline {
-					return
-				}
-				r := runners[coreIdx]
-				r.ResetProc()
-				r.RunCompiled(compiled[prog],
-					func(int, sim.Time) { n.calls++ },
-					func() { iterate(coreIdx, (prog+1)%len(c.Programs)) })
-			})
-		})
+			p := compiled[prog]
+			prog = (prog + 1) % len(compiled)
+			r.ResetProc()
+			r.RunCompiled(p, nil, arrive)
+		}
+		arrive()
 	}
-	for i := range cores {
-		iterate(i, 0)
-	}
-	return n
 }
-
-// Stop halts further iterations (in-flight programs finish).
-func (n *Noise) Stop() { n.stopped = true }
-
-// Calls returns the number of noise syscalls issued so far.
-func (n *Noise) Calls() uint64 { return n.calls }

@@ -47,25 +47,59 @@ type Measurement struct {
 	P50, P95, P99, Max, Mean float64
 }
 
+// Worker is one server thread: it serves one request at a time on one
+// core, as its own process. It owns one syscall context, one op list with
+// its argument scratch, and one kernel task whose OnDone is built once, so
+// a warmed worker serves a request without allocating (the executor's
+// block-I/O and IPI completions still allocate per op).
+type Worker struct {
+	ctx  syscalls.Ctx
+	req  request
+	task kernel.Task
+}
+
+// NewWorker builds a worker on ref with a fresh process salted by salt.
+// onDone receives each request's latency; it may call Serve again, and
+// only from there (or while the worker is idle) may Serve be called: the
+// executor reads a request's ops until onDone.
+func NewWorker(eng *sim.Engine, ref platform.CoreRef, salt uint64, onDone func(elapsed sim.Time)) *Worker {
+	proc := syscalls.NewProc(eng)
+	proc.Salt = salt
+	// A small mapped working set, so memory syscalls in the mix take their
+	// mapped paths.
+	proc.VMAs = 8
+	return &Worker{
+		ctx:  syscalls.Ctx{Kern: ref.Kernel, Core: ref.Core, Proc: proc, Cov: syscalls.NopCoverage{}},
+		task: kernel.Task{AddrSpace: proc.MM, OnDone: onDone},
+	}
+}
+
+// Serve compiles one request of app, drawing from src, and submits it.
+func (w *Worker) Serve(app *App, src *rng.Source) {
+	w.req.ops.Reset()
+	app.compile(&w.ctx, &w.req, src)
+	w.task.Ops = w.req.ops.Ops()
+	w.ctx.Kern.Submit(w.ctx.Core, &w.task)
+}
+
 // server dispatches requests to a fixed worker pool (one worker per core of
 // the serving partition).
 type server struct {
-	eng     *sim.Engine
-	app     *App
-	cores   []platform.CoreRef
-	src     *rng.Source
-	procs   []*syscalls.Proc
-	freeWkr []int
-	queue   []pendingReq
+	eng   *sim.Engine
+	app   *App
+	src   *rng.Source
+	slots []slot
+	free  []int
+	queue []sim.Time // arrivals waiting for a worker
 
 	warmupEnd sim.Time
 	measEnd   sim.Time
 	sample    *stats.Sample
-	inflight  int
-	total     int
 }
 
-type pendingReq struct {
+// slot is one worker and the arrival time of the request it serves.
+type slot struct {
+	w       *Worker
 	arrived sim.Time
 }
 
@@ -85,20 +119,15 @@ func RunServer(env *platform.Environment, cores []platform.CoreRef, app *App, op
 	s := &server{
 		eng:       eng,
 		app:       app,
-		cores:     cores,
 		src:       rng.New(opts.Seed ^ 0x5345525645),
 		warmupEnd: eng.Now() + opts.Warmup,
 		measEnd:   eng.Now() + opts.Warmup + opts.Measure,
 		sample:    stats.NewSample(4096),
 	}
-	for i := range cores {
-		proc := syscalls.NewProc(eng)
-		proc.Salt = uint64(i+1) * 0x9e3779b97f4a7c15
-		// Give each worker a small mapped working set so memory syscalls in
-		// the mix take their mapped paths.
-		proc.VMAs = 8
-		s.procs = append(s.procs, proc)
-		s.freeWkr = append(s.freeWkr, i)
+	s.slots = make([]slot, len(cores))
+	for i, ref := range cores {
+		s.slots[i].w = NewWorker(eng, ref, uint64(i+1)*0x9e3779b97f4a7c15, func(sim.Time) { s.finish(i) })
+		s.free = append(s.free, i)
 	}
 	// Arrival rate for the target utilization.
 	mean := opts.MeanService
@@ -113,7 +142,7 @@ func RunServer(env *platform.Environment, cores []platform.CoreRef, app *App, op
 		if now >= s.measEnd {
 			return
 		}
-		s.admit(pendingReq{arrived: now})
+		s.admit(now)
 		gap := sim.Time(s.src.Exp(float64(meanGap)))
 		if gap < sim.Microsecond {
 			gap = sim.Microsecond
@@ -135,38 +164,32 @@ func RunServer(env *platform.Environment, cores []platform.CoreRef, app *App, op
 	}
 }
 
-func (s *server) admit(r pendingReq) {
-	if len(s.freeWkr) == 0 {
-		s.queue = append(s.queue, r)
+func (s *server) admit(arrived sim.Time) {
+	if len(s.free) == 0 {
+		s.queue = append(s.queue, arrived)
 		return
 	}
-	w := s.freeWkr[len(s.freeWkr)-1]
-	s.freeWkr = s.freeWkr[:len(s.freeWkr)-1]
-	s.dispatch(w, r)
+	w := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	s.dispatch(w, arrived)
 }
 
-func (s *server) dispatch(w int, r pendingReq) {
-	ref := s.cores[w]
-	ctx := &syscalls.Ctx{Kern: ref.Kernel, Core: ref.Core, Proc: s.procs[w], Cov: syscalls.NopCoverage{}}
-	ops := s.app.CompileRequest(ctx, s.src)
-	s.inflight++
-	s.total++
-	ref.Kernel.Submit(ref.Core, &kernel.Task{
-		Ops:       ops,
-		AddrSpace: s.procs[w].MM,
-		OnDone: func(sim.Time) {
-			s.inflight--
-			done := s.eng.Now()
-			if r.arrived >= s.warmupEnd && done <= s.measEnd {
-				s.sample.Add((done - r.arrived).Micros())
-			}
-			if len(s.queue) > 0 {
-				next := s.queue[0]
-				s.queue = s.queue[1:]
-				s.dispatch(w, next)
-				return
-			}
-			s.freeWkr = append(s.freeWkr, w)
-		},
-	})
+func (s *server) dispatch(w int, arrived sim.Time) {
+	s.slots[w].arrived = arrived
+	s.slots[w].w.Serve(s.app, s.src)
+}
+
+// finish records worker w's request and hands it the next queued one.
+func (s *server) finish(w int) {
+	done := s.eng.Now()
+	if a := s.slots[w].arrived; a >= s.warmupEnd && done <= s.measEnd {
+		s.sample.Add((done - a).Micros())
+	}
+	if len(s.queue) > 0 {
+		next := s.queue[0]
+		s.queue = s.queue[1:]
+		s.dispatch(w, next)
+		return
+	}
+	s.free = append(s.free, w)
 }

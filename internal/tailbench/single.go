@@ -5,11 +5,9 @@ import (
 
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
-	"ksa/internal/kernel"
 	"ksa/internal/platform"
 	"ksa/internal/rng"
 	"ksa/internal/sim"
-	"ksa/internal/syscalls"
 )
 
 // SingleNodeConfig describes one §6.2 deployment: a 64-core machine split
@@ -33,9 +31,6 @@ type SingleNodeConfig struct {
 	Machine platform.Machine
 	// Partitions defaults to 4 (1 app + 3 noise).
 	Partitions int
-	// NoiseIterGap is the noise tenant's per-iteration overhead
-	// (default 500µs).
-	NoiseIterGap sim.Time
 	// Faults, when non-nil, doses the environment with the interference
 	// plan for the warmup+measure window (injection seeds derive from
 	// Seed). Composable with Contended: corpus noise and injected noise
@@ -51,24 +46,18 @@ func MeasureServiceTime(kind platform.EnvKind, app *App, machine platform.Machin
 	eng := sim.NewEngine()
 	src := rng.New(seed ^ 0xca11b)
 	env := platform.New(eng, kind, machine, parts, src, nil)
-	ref := env.Core(0)
-	proc := syscalls.NewProc(eng)
-	proc.Salt = 0x7357
-	proc.VMAs = 8
 	reqSrc := src.Split(1)
 	const reqs = 256
 	var total sim.Time
-	var run func(i int)
-	run = func(i int) {
-		if i >= reqs {
-			return
+	served := 0
+	var w *Worker
+	w = NewWorker(eng, env.Core(0), 0x7357, func(e sim.Time) {
+		total += e
+		if served++; served < reqs {
+			w.Serve(app, reqSrc)
 		}
-		ctx := &syscalls.Ctx{Kern: ref.Kernel, Core: ref.Core, Proc: proc, Cov: syscalls.NopCoverage{}}
-		ops := app.CompileRequest(ctx, reqSrc)
-		ref.Kernel.Submit(ref.Core, &kernel.Task{Ops: ops, AddrSpace: proc.MM,
-			OnDone: func(e sim.Time) { total += e; run(i + 1) }})
-	}
-	run(0)
+	})
+	w.Serve(app, reqSrc)
 	eng.Run()
 	return total / reqs
 }
@@ -118,51 +107,12 @@ func RunSingleNode(cfg SingleNodeConfig) Measurement {
 		for i := per; i < cfg.Machine.Cores; i++ {
 			noiseCores = append(noiseCores, env.Core(i))
 		}
-		skewSrc := src.Split(0x6e736b)
 		deadline := eng.Now() + opts.Warmup + opts.Measure
-		gap := cfg.NoiseIterGap
-		if gap == 0 {
-			gap = 500 * sim.Microsecond
-		}
-		StartNoise(env, noiseCores, cfg.NoiseCorpus, deadline, gap, func() sim.Time {
-			return sim.Time(skewSrc.Exp(float64(6 * sim.Microsecond)))
-		})
+		StartNoise(env, noiseCores, cfg.NoiseCorpus, deadline, 500*sim.Microsecond, src.Split(0x6e736b))
 	}
 	eng.Run()
 	m := collect()
 	m.Contended = cfg.Contended
 	m.Env = cfg.Kind.String()
 	return m
-}
-
-// Fig3Row holds one application's Figure 3 numbers: isolated and contended
-// p99 for both substrates, and the relative increases (Figure 3(c)).
-type Fig3Row struct {
-	App                         string
-	KVMIso, KVMCont             float64 // p99 µs
-	DockerIso, DockerCont       float64
-	KVMIncrease, DockerIncrease float64 // percent
-}
-
-// RunFig3App produces one row of Figure 3 for the given app.
-func RunFig3App(app *App, noise *corpus.Corpus, server ServerOptions, seed uint64) Fig3Row {
-	row := Fig3Row{App: app.Name}
-	run := func(kind platform.EnvKind, contended bool) float64 {
-		m := RunSingleNode(SingleNodeConfig{
-			Kind: kind, App: app, Contended: contended,
-			NoiseCorpus: noise, Server: server, Seed: seed,
-		})
-		return m.P99
-	}
-	row.KVMIso = run(platform.KindVMs, false)
-	row.KVMCont = run(platform.KindVMs, true)
-	row.DockerIso = run(platform.KindContainers, false)
-	row.DockerCont = run(platform.KindContainers, true)
-	if row.KVMIso > 0 {
-		row.KVMIncrease = 100 * (row.KVMCont - row.KVMIso) / row.KVMIso
-	}
-	if row.DockerIso > 0 {
-		row.DockerIncrease = 100 * (row.DockerCont - row.DockerIso) / row.DockerIso
-	}
-	return row
 }

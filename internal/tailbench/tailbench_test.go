@@ -94,6 +94,32 @@ func TestCompileRequestAllocs(t *testing.T) {
 	}
 }
 
+// A warmed worker reuses its context, op list and task, so serving a
+// request to completion allocates nothing for the apps whose mixes take
+// no IPI and no block I/O (the executor's completions for those still
+// allocate per op).
+func TestWorkerServeAllocs(t *testing.T) {
+	for _, name := range []string{"masstree", "img-dnn", "specjbb", "silo"} {
+		eng := sim.NewEngine()
+		k := kernel.New(eng, kernel.Config{Name: "t", Cores: 2, MemGB: 2,
+			Params: kernel.Params{Quiet: true}}, rng.New(1))
+		src := rng.New(2)
+		app := AppByName(name)
+		served := 0
+		w := NewWorker(eng, platform.CoreRef{Kernel: k}, 1, func(sim.Time) { served++ })
+		serve := func() { w.Serve(app, src); eng.Run() }
+		for i := 0; i < 50; i++ { // warm the list, fd table and lock pages
+			serve()
+		}
+		if n := testing.AllocsPerRun(100, serve); n != 0 {
+			t.Errorf("%s: %v allocs per served request, want 0", name, n)
+		}
+		if served != 50+101 {
+			t.Fatalf("%s: %d requests completed, want %d", name, served, 50+101)
+		}
+	}
+}
+
 func TestShoreDoesIO(t *testing.T) {
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.Config{Name: "t", Cores: 1, MemGB: 2,
@@ -191,41 +217,22 @@ func TestStartNoiseRespectsDeadline(t *testing.T) {
 	eng := sim.NewEngine()
 	env := platform.Containers(eng, platform.Machine{Cores: 8, MemGB: 4}, 2, rng.New(1))
 	cores := []platform.CoreRef{env.Core(4), env.Core(5)}
-	n := StartNoise(env, cores, c, 5*sim.Millisecond, 100*sim.Microsecond, nil)
+	StartNoise(env, cores, c, 5*sim.Millisecond, 100*sim.Microsecond, nil)
 	eng.Run()
 	if eng.Now() > 20*sim.Millisecond {
 		t.Fatalf("noise ran far past its deadline: now=%v", eng.Now())
 	}
-	if n.Calls() == 0 {
+	if cores[0].Kernel.Stats().TasksRun == 0 {
 		t.Fatal("noise issued no calls before deadline")
-	}
-}
-
-func TestStartNoiseStop(t *testing.T) {
-	opts := fuzz.NewOptions(1)
-	opts.TargetPrograms = 5
-	c, _ := fuzz.Generate(opts)
-	eng := sim.NewEngine()
-	env := platform.Containers(eng, platform.Machine{Cores: 4, MemGB: 2}, 2, rng.New(1))
-	cores := []platform.CoreRef{env.Core(2), env.Core(3)}
-	n := StartNoise(env, cores, c, sim.Forever, 100*sim.Microsecond, nil)
-	eng.RunUntil(2 * sim.Millisecond)
-	n.Stop()
-	calls := n.Calls()
-	eng.RunFor(10 * sim.Millisecond)
-	// In-flight programs may finish a few calls; the stream must not keep
-	// going indefinitely.
-	if n.Calls() > calls+64 {
-		t.Fatalf("noise kept issuing after Stop: %d -> %d", calls, n.Calls())
 	}
 }
 
 func TestStartNoiseEmptyInputs(t *testing.T) {
 	eng := sim.NewEngine()
 	env := platform.Containers(eng, platform.Machine{Cores: 2, MemGB: 1}, 1, rng.New(1))
-	n := StartNoise(env, nil, &corpus.Corpus{}, sim.Forever, 0, nil)
+	StartNoise(env, nil, &corpus.Corpus{}, sim.Forever, 0, nil)
 	eng.Run()
-	if n.Calls() != 0 {
-		t.Fatal("empty noise issued calls")
+	if n := env.Core(0).Kernel.Stats().TasksRun; n != 0 {
+		t.Fatalf("empty noise ran %d tasks", n)
 	}
 }
